@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -91,18 +93,23 @@ struct ThreadPool::Impl {
   std::condition_variable work_cv;
   std::condition_variable done_cv;
 
-  // Batch descriptor. `fn` and `limit` are published by the release store
-  // of `next = 0`; a claim (acquire RMW on `next`) that yields t < limit
-  // therefore sees them. Claims at t >= limit never touch `fn`, and every
-  // claim below the limit bumps `completed` exactly once, so when
-  // `completed == limit` no thread can still be inside `fn`.
+  // Batch descriptor. A claim word packs the batch's task count with its
+  // next unclaimed index (limit << 32 | next), so the one fetch_add that
+  // claims an index also returns the limit of the batch that index belongs
+  // to. (With separate `next` and `limit` words, a worker's last claim of
+  // one batch could land before the next batch reset `next` while its
+  // limit load already saw the next batch's larger limit, and it would run
+  // a task of the new batch twice.) `fn` is published by the release store
+  // of a new batch's claim word; a claim (acquire RMW) that yields an
+  // index below its limit therefore sees it. Claims at or past the limit
+  // never touch `fn`, and every claim below it bumps `completed` exactly
+  // once, so when `completed == limit` no thread can still be inside `fn`.
   const std::function<void(size_t)>* fn = nullptr;
-  std::atomic<size_t> limit{0};
-  std::atomic<size_t> next{std::numeric_limits<size_t>::max()};
+  std::atomic<uint64_t> claim{0};  // limit 0: no batch open
   size_t completed = 0;  // guarded by mu
   // Atomic so idle workers can watch for the next batch (or shutdown)
   // without taking mu: `generation` is bumped (release) only after the
-  // batch descriptor and the `next = 0` release store are in place, so a
+  // batch descriptor and the claim-word release store are in place, so a
   // spinner's acquire load of a new generation sees the whole batch.
   std::atomic<uint64_t> generation{0};
   std::atomic<bool> stop{false};
@@ -119,8 +126,10 @@ struct ThreadPool::Impl {
   void RunTasks() {
     const bool telemetry = obs::TelemetryEnabled();
     for (;;) {
-      const size_t t = next.fetch_add(1, std::memory_order_acquire);
-      if (t >= limit.load(std::memory_order_acquire)) return;
+      const uint64_t word = claim.fetch_add(1, std::memory_order_acquire);
+      const size_t t = static_cast<uint32_t>(word);
+      const size_t limit = static_cast<size_t>(word >> 32);
+      if (t >= limit) return;
       std::exception_ptr err;
       tls_in_pool_task = true;
       WallTimer task_watch;
@@ -140,9 +149,7 @@ struct ThreadPool::Impl {
         error_task = t;
         error = err;
       }
-      if (++completed == limit.load(std::memory_order_relaxed)) {
-        done_cv.notify_all();
-      }
+      if (++completed == limit) done_cv.notify_all();
     }
   }
 
@@ -196,6 +203,9 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Apply(size_t num_tasks,
                        const std::function<void(size_t)>& fn) {
+  if (num_tasks > kMaxTasks) {
+    throw std::length_error("ThreadPool::Apply: too many tasks in one batch");
+  }
   if (num_tasks == 0) return;
   if (num_threads_ <= 1 || num_tasks == 1 || tls_in_pool_task) {
     // Inline serial execution in task order (also the nested-call path).
@@ -213,11 +223,11 @@ void ThreadPool::Apply(size_t num_tasks,
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     impl_->fn = &fn;
-    impl_->limit.store(num_tasks, std::memory_order_relaxed);
     impl_->completed = 0;
     impl_->error = nullptr;
     impl_->error_task = std::numeric_limits<size_t>::max();
-    impl_->next.store(0, std::memory_order_release);
+    impl_->claim.store(static_cast<uint64_t>(num_tasks) << 32,
+                       std::memory_order_release);
     // Bumped last (release): a spinning worker that observes the new
     // generation without touching mu still sees the whole batch above.
     impl_->generation.fetch_add(1, std::memory_order_release);
@@ -265,6 +275,10 @@ void ParallelForShards(size_t begin, size_t end, size_t grain,
   if (end <= begin) return;
   if (grain == 0) grain = 1;
   const size_t shards = NumShards(end - begin, grain);
+  // Checked here too, so the limit holds when the loop runs inline.
+  if (shards > ThreadPool::kMaxTasks) {
+    throw std::length_error("ParallelForShards: too many shards");
+  }
   auto run_shard = [&](size_t s) {
     const size_t b = begin + s * grain;
     const size_t e = b + grain < end ? b + grain : end;

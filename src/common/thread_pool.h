@@ -54,7 +54,9 @@ size_t NumShards(size_t count, size_t grain);
 /// Calls fn(shard, shard_begin, shard_end) for every shard of [begin, end)
 /// at the given grain. Shards may run concurrently in any order; with one
 /// thread they run inline in increasing shard order. The first exception
-/// thrown (lowest shard index) is rethrown after all shards finish.
+/// thrown (lowest shard index) is rethrown after all shards finish. Throws
+/// std::length_error, at any thread count, for more than
+/// ThreadPool::kMaxTasks shards.
 void ParallelForShards(size_t begin, size_t end, size_t grain,
                        const std::function<void(size_t, size_t, size_t)>& fn);
 
@@ -79,11 +81,16 @@ class ThreadPool {
 
   int num_threads() const { return num_threads_; }
 
+  /// Largest batch Apply accepts: claims count up in a 32-bit field, with
+  /// headroom for the failed claims of threads draining a finished batch.
+  static constexpr size_t kMaxTasks = size_t{1} << 31;
+
   /// Runs fn(t) for every t in [0, num_tasks) across the pool and blocks
   /// until all complete. Tasks are claimed from a shared counter (no work
   /// stealing, no per-thread queues). Rethrows the exception of the lowest
   /// failing task index. Calls from inside a pool task run inline (serial)
-  /// rather than deadlocking.
+  /// rather than deadlocking. Throws std::length_error, at any thread
+  /// count, when num_tasks exceeds kMaxTasks.
   void Apply(size_t num_tasks, const std::function<void(size_t)>& fn);
 
  private:

@@ -1,11 +1,11 @@
-// CompiledForest: the trained booster flattened for serving. The training
-// representation (gbdt::Tree, fat AoS TreeNode structs) is optimized for
-// growth; inference only needs the split tuple (feature, threshold, left,
-// right) and, at each leaf, the global LR column the §III-C multi-hot
-// encoding would activate. Flattening every tree into structure-of-arrays
-// node storage — contiguous feature/threshold/child arrays, leaves encoding
-// their LR column directly — turns the GBDT→leaf→LR scoring path into a
-// single pointer-chase per tree with no intermediate FeatureMatrix.
+// CompiledForest: the trained booster flattened and validated for serving.
+// The training representation (gbdt::Tree, fat AoS TreeNode structs) is
+// optimized for growth; inference only needs the split tuple (feature,
+// threshold, left, right) and, at each leaf, the global LR column the
+// §III-C multi-hot encoding would activate. Build flattens every tree into
+// structure-of-arrays node storage and rejects malformed trees (the guard
+// on loaded model files); serve::QuantizedForest re-packs the result for
+// the scoring kernel.
 #pragma once
 
 #include <cstdint>
@@ -35,80 +35,10 @@ class CompiledForest {
   /// Minimum raw-row width any traversal reads: max split feature id + 1.
   size_t min_feature_count() const { return min_feature_count_; }
 
-  /// Global LR column of the leaf that `row` falls into in tree t. `row`
-  /// must have at least min_feature_count() entries.
-  ///
-  /// The descent is depth-padded and branchless: leaves self-loop
-  /// (left == right == own index), so the walk always runs exactly
-  /// depths_[t] steps — a predictable trip count with a mask select per
-  /// step — instead of exiting on a data-dependent (and thus mispredicted)
-  /// leaf test. Rows that reach their leaf early just spin in place; the
-  /// final index is the same either way, and self-loops are also NaN-safe
-  /// (both branches stay put).
-  uint32_t LeafColumn(size_t t, const double* row) const {
-    int32_t idx = roots_[t];
-    for (int32_t d = depths_[t]; d > 0; --d) {
-      const size_t i = static_cast<size_t>(idx);
-      const int32_t go_left = left_[i];
-      const int32_t go_right = right_[i];
-      const int32_t take_right =
-          -static_cast<int32_t>(!(row[feature_[i]] <= threshold_[i]));
-      idx = go_left + ((go_right - go_left) & take_right);
-    }
-    return leaf_col_[static_cast<size_t>(idx)];
-  }
-
-  /// Row-block capacity of LeafColumnsBlock (and the unit of batching in
-  /// serve::ScoringSession).
-  static constexpr size_t kBlockRows = 64;
-
-  /// Batch form of LeafColumn: cols[i] = LeafColumn(t, rows[i]) for i in
-  /// [0, n), n <= kBlockRows. Tree levels are walked in lockstep across the
-  /// block — depth outer, rows inner — so every step of the inner loop is
-  /// independent of the previous one and the out-of-order core overlaps the
-  /// whole block's node loads instead of serializing one root-to-leaf
-  /// pointer chain at a time.
-  void LeafColumnsBlock(size_t t, const double* const* rows, size_t n,
-                        uint32_t* cols) const {
-    int32_t idx[kBlockRows];
-    const int32_t root = roots_[t];
-    for (size_t i = 0; i < n; ++i) idx[i] = root;
-    for (int32_t d = depths_[t]; d > 0; --d) {
-      for (size_t i = 0; i < n; ++i) {
-        const size_t node = static_cast<size_t>(idx[i]);
-        const int32_t go_left = left_[node];
-        const int32_t go_right = right_[node];
-        // Mask select instead of `?:` — compilers turn the ternary into a
-        // data-dependent branch that mispredicts ~50% of the time; setcc +
-        // mask keeps the step branch-free. `!(a <= b)` (not `a > b`) so a
-        // NaN feature goes right, exactly like the training-side
-        // Tree::PredictLeaf.
-        const int32_t take_right = -static_cast<int32_t>(
-            !(rows[i][feature_[node]] <= threshold_[node]));
-        idx[i] = go_left + ((go_right - go_left) & take_right);
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      cols[i] = leaf_col_[static_cast<size_t>(idx[i])];
-    }
-  }
-
-  /// Fused multi-hot dot product: sum over trees of w[LeafColumn(t, row)],
-  /// accumulated in tree order — the exact addition sequence of
-  /// FeatureMatrix::RowDot over a LeafEncoder-encoded sparse row, so the
-  /// result is bit-identical to the legacy encode-then-dot path. `w` must
-  /// have at least num_columns() entries.
-  double FusedDot(const double* row, const double* w) const {
-    double acc = 0.0;
-    for (size_t t = 0; t < roots_.size(); ++t) {
-      acc += w[LeafColumn(t, row)];
-    }
-    return acc;
-  }
-
-  /// Raw SoA views for downstream compilers (serve::QuantizedForest
-  /// re-packs these into a float, cache-blocked layout). Children of node i
-  /// are left()[i]/right()[i]; leaves self-loop (left == right == i).
+  /// Raw SoA views, read by serve::QuantizedForest::Build and
+  /// serve::ScoringFeatureGrid. Children of node i are left()[i] and
+  /// right()[i]; leaves self-loop (left == right == i), so a descent padded
+  /// to depths()[t] steps stays put once it reaches a leaf.
   const std::vector<int32_t>& roots() const { return roots_; }
   const std::vector<int32_t>& depths() const { return depths_; }
   const std::vector<int32_t>& feature() const { return feature_; }

@@ -1,7 +1,6 @@
 #include "serve/quantized_forest.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "gbdt/tree.h"
@@ -57,90 +56,36 @@ struct FalseNodeBuilder {
 
 }  // namespace
 
-Result<QuantizedForest> QuantizedForest::Build(const CompiledForest& forest) {
+QuantizedForest QuantizedForest::Build(const CompiledForest& forest) {
   const size_t total_nodes = forest.num_nodes();
-  if (total_nodes >
-      static_cast<size_t>(std::numeric_limits<int32_t>::max()) / 2) {
-    return Status::InvalidArgument(
-        "forest too large for interleaved int32 child indexing");
-  }
-
   QuantizedForest q;
   q.num_columns_ = forest.num_columns();
   q.min_feature_count_ = forest.min_feature_count();
-  q.roots_.reserve(forest.num_trees());
+  q.roots_ = forest.roots();
   q.depths_ = forest.depths();
-  q.feature_.resize(total_nodes);
-  q.threshold_.resize(total_nodes);
-  q.kids_.resize(2 * total_nodes);
-  q.leaf_col_.resize(total_nodes);
+  q.feature_ = forest.feature();
+  q.leaf_col_ = forest.leaf_col();
+  q.threshold_.reserve(total_nodes);
+  q.kids_.reserve(2 * total_nodes);
+  for (size_t i = 0; i < total_nodes; ++i) {
+    q.threshold_.push_back(gbdt::QuantizeThreshold(forest.threshold()[i]));
+    q.kids_.push_back(forest.left()[i]);
+    q.kids_.push_back(forest.right()[i]);
+  }
 
+  // False-node ("bitvector") tables: per tree an in-order leaf numbering
+  // and per split the mask of leaves its FALSE outcome rules out, sorted
+  // by (feature, ascending threshold) so the kernel sweeps each feature's
+  // nodes once per row group.
+  q.bitvector_ready_ = true;
+  std::vector<FalseNode> qs;
+  qs.reserve(total_nodes);
+  q.leaf_col_by_bit_.assign(forest.num_trees() * kLeafBits, 0);
   const std::vector<int32_t>& src_feature = forest.feature();
   const std::vector<double>& src_threshold = forest.threshold();
   const std::vector<int32_t>& src_left = forest.left();
   const std::vector<int32_t>& src_right = forest.right();
   const std::vector<uint32_t>& src_leaf_col = forest.leaf_col();
-
-  // Breadth-first renumbering per tree: a queue sweep emits level 0, then
-  // level 1, ... so same-depth nodes land contiguous in the new arrays.
-  std::vector<int32_t> remap(total_nodes, -1);
-  std::vector<int32_t> order;
-  order.reserve(total_nodes);
-  int32_t next = 0;
-  for (size_t t = 0; t < forest.num_trees(); ++t) {
-    const int32_t root = forest.roots()[t];
-    q.roots_.push_back(next);
-    const size_t head = order.size();
-    order.push_back(root);
-    remap[static_cast<size_t>(root)] = next++;
-    for (size_t cursor = head; cursor < order.size(); ++cursor) {
-      const size_t old = static_cast<size_t>(order[cursor]);
-      const int32_t l = src_left[old];
-      const int32_t r = src_right[old];
-      if (static_cast<size_t>(l) == old) continue;  // leaf self-loop
-      order.push_back(l);
-      remap[static_cast<size_t>(l)] = next++;
-      order.push_back(r);
-      remap[static_cast<size_t>(r)] = next++;
-    }
-  }
-
-  for (size_t old = 0; old < total_nodes; ++old) {
-    const size_t now = static_cast<size_t>(remap[old]);
-    q.feature_[now] = src_feature[old];
-    q.threshold_[now] = gbdt::QuantizeThreshold(src_threshold[old]);
-    q.kids_[2 * now] = remap[static_cast<size_t>(src_left[old])];
-    q.kids_[2 * now + 1] = remap[static_cast<size_t>(src_right[old])];
-    q.leaf_col_[now] = src_leaf_col[old];
-  }
-
-  // Greedy tree tiling against the per-tile node budget; every tile holds
-  // at least one tree, so an oversized tree simply gets its own tile.
-  constexpr size_t budget_nodes = kTileNodeBytes / kBytesPerNode;
-  q.tile_trees_.push_back(0);
-  size_t tile_nodes = 0;
-  for (size_t t = 0; t < forest.num_trees(); ++t) {
-    const size_t tree_nodes =
-        (t + 1 < forest.num_trees()
-             ? static_cast<size_t>(forest.roots()[t + 1])
-             : total_nodes) -
-        static_cast<size_t>(forest.roots()[t]);
-    if (tile_nodes > 0 && tile_nodes + tree_nodes > budget_nodes) {
-      q.tile_trees_.push_back(t);
-      tile_nodes = 0;
-    }
-    tile_nodes += tree_nodes;
-  }
-  q.tile_trees_.push_back(forest.num_trees());
-
-  // False-node ("bitvector") tables: per tree an in-order leaf numbering
-  // and per split the mask of leaves its FALSE outcome rules out. Sorted
-  // by (feature, ascending threshold) so the kernel can sweep each
-  // feature's nodes once and stop at the first all-lanes-true threshold.
-  q.bitvector_ready_ = true;
-  std::vector<FalseNode> qs;
-  qs.reserve(total_nodes);
-  q.leaf_col_by_bit_.assign(forest.num_trees() * kLeafBits, 0);
   for (size_t t = 0; t < forest.num_trees() && q.bitvector_ready_; ++t) {
     FalseNodeBuilder builder{src_feature,
                              src_threshold,
@@ -185,7 +130,7 @@ uint32_t QuantizedForest::LeafColumn(size_t t, const float* row) const {
   for (int32_t d = depths_[t]; d > 0; --d) {
     const size_t i = static_cast<size_t>(idx);
     // `!(x <= thr)` so a NaN feature goes right, matching the training-side
-    // descent; mask select keeps the step branch-free like the double path.
+    // descent; indexing the interleaved kids keeps the step branch-free.
     const int32_t take_right =
         static_cast<int32_t>(!(row[feature_[i]] <= threshold_[i]));
     idx = kids_[2 * i + static_cast<size_t>(take_right)];

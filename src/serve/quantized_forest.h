@@ -1,5 +1,5 @@
-// QuantizedForest: the CompiledForest re-packed for the vector kernel.
-// Three layout changes buy the SIMD path its bandwidth:
+// QuantizedForest: the CompiledForest re-packed for the scoring kernel
+// (serve/scoring_kernel.inc).
 //
 //   * Thresholds are quantized double -> float with gbdt::QuantizeThreshold
 //     (largest float <= the training split). The feature plane is rounded
@@ -7,79 +7,52 @@
 //     because bin bounds are observed training values) still go left and
 //     every float-representable feature decides exactly like the double
 //     descent — see DESIGN.md §11 for the argument.
-//   * Nodes are re-ordered breadth-first per tree (nodes of the same depth
-//     contiguous), and left/right children are interleaved into one kids
-//     array (kids[2i] / kids[2i+1]), so one level step is a single indexed
-//     gather of `2*idx + 1 + cmp` instead of two child-array reads.
-//   * Trees are grouped into tiles whose node storage fits comfortably in
-//     L1, and the batch scorer walks every row block through one tile
-//     before touching the next, so a tile's nodes are loaded from memory
-//     once per block instead of once per row.
+//   * False-node tables: every split, sorted by (feature, ascending
+//     quantized threshold), with the mask of its tree's leaves that the
+//     split's FALSE outcome rules out. The kernel sweeps them once per
+//     feature for a whole group of rows instead of descending every tree.
 //
-// Leaves keep the CompiledForest convention: they self-loop (both kids
-// point at the node itself), descent is depth-padded, and a NaN feature
-// compares false and goes right, exactly like gbdt::Tree::PredictLeaf.
+// A forest with a tree of more than kLeafBits leaves gets no tables; the
+// kernel then takes LeafColumn, the per-tree descent that is also the
+// reference the tests compare the kernel against. Leaves keep the
+// CompiledForest convention: they self-loop, the descent is depth-padded,
+// and a NaN feature compares false and goes right, exactly like
+// gbdt::Tree::PredictLeaf.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "common/result.h"
 #include "serve/compiled_forest.h"
 
 namespace lightmirm::serve {
 
-/// Immutable float/SoA forest derived from a CompiledForest. Shares its
-/// column layout (leaf of tree t -> same global LR column).
+/// Immutable float forest derived from a CompiledForest. Shares its node
+/// numbering and column layout (leaf of tree t -> same global LR column).
 class QuantizedForest {
  public:
-  /// Node-storage budget per tree tile, in bytes (feature + threshold +
-  /// interleaved kids + leaf column = 20 bytes/node -> ~16 KiB keeps a
-  /// tile inside half of a typical 32 KiB L1d alongside the row plane).
-  /// A single tree larger than the budget gets a tile of its own.
-  static constexpr size_t kTileNodeBytes = 16 * 1024;
-  static constexpr size_t kBytesPerNode = 20;
-
-  /// Re-packs `forest`. Errors (InvalidArgument) when the interleaved kids
-  /// array would overflow int32 indexing.
-  static Result<QuantizedForest> Build(const CompiledForest& forest);
+  /// Re-packs `forest`; CompiledForest::Build already rejected every
+  /// malformed tree, so this cannot fail.
+  static QuantizedForest Build(const CompiledForest& forest);
 
   size_t num_trees() const { return roots_.size(); }
   size_t num_nodes() const { return feature_.size(); }
   size_t num_columns() const { return num_columns_; }
   size_t min_feature_count() const { return min_feature_count_; }
 
-  /// Tree tiles: tile k covers trees [tile_trees_[k], tile_trees_[k+1]).
-  size_t num_tiles() const { return tile_trees_.size() - 1; }
-  size_t tile_tree_begin(size_t k) const { return tile_trees_[k]; }
-  size_t tile_tree_end(size_t k) const { return tile_trees_[k + 1]; }
-
   /// Global LR column of the leaf `row` (a float feature row with at least
-  /// min_feature_count() entries) falls into in tree t. This is the scalar
-  /// reference for the vector kernel: identical arithmetic (float compare
-  /// against the quantized threshold), so the two are bit-identical by
-  /// construction. Out-of-line on purpose — the hot callers are the kernel
-  /// and its block tail, not this method.
+  /// min_feature_count() entries) falls into in tree t: the branch-free
+  /// depth-padded descent with the float compare the sweep makes.
+  /// Out-of-line on purpose — the kernel's two builds call this one copy.
   uint32_t LeafColumn(size_t t, const float* row) const;
 
-  /// Raw arrays for the kernel (all indexed by global node id).
-  const int32_t* roots() const { return roots_.data(); }
-  const int32_t* depths() const { return depths_.data(); }
-  const int32_t* feature() const { return feature_.data(); }
-  const float* threshold() const { return threshold_.data(); }
-  /// Interleaved children: kids()[2*i] = left, kids()[2*i + 1] = right.
-  const int32_t* kids() const { return kids_.data(); }
-  const uint32_t* leaf_col() const { return leaf_col_.data(); }
-
-  /// Leaf-mask width of the bitvector ("false-node") evaluation tables.
-  /// Trees with more leaves disable the tables and the kernel falls back
-  /// to the lane-group gather descent.
+  /// Leaf-mask width of the false-node tables.
   static constexpr size_t kLeafBits = 32;
 
   /// True when every tree has at most kLeafBits leaves, so the false-node
   /// tables below are populated (see DESIGN.md §11: evaluating the false
-  /// split conditions feature-by-feature and AND-ing per-tree leaf masks
-  /// finds the same leaf as the descent, without per-level gather chains).
+  /// split conditions feature by feature and AND-ing per-tree leaf masks
+  /// finds the same leaf as the descent).
   bool bitvector_ready() const { return bitvector_ready_; }
 
   /// False-node tables, sorted by (feature, ascending quantized
@@ -100,9 +73,9 @@ class QuantizedForest {
   std::vector<int32_t> depths_;
   std::vector<int32_t> feature_;
   std::vector<float> threshold_;
+  /// Interleaved children: kids_[2*i] = left, kids_[2*i + 1] = right.
   std::vector<int32_t> kids_;
   std::vector<uint32_t> leaf_col_;
-  std::vector<size_t> tile_trees_;
   size_t num_columns_ = 0;
   size_t min_feature_count_ = 0;
   bool bitvector_ready_ = false;
@@ -117,9 +90,8 @@ class QuantizedForest {
 /// sorted-unique list of QuantizeThreshold images of every split threshold
 /// on feature f (empty when the forest never splits on f), indexed up to
 /// forest.min_feature_count(). Scores depend on a feature value only
-/// through `value <= threshold` against these grids — on both the scalar
-/// (double) and SIMD (float) kernels, by the QuantizeThreshold tie
-/// invariant — which is what lets data::ColumnStore's serving-grid
+/// through `value <= threshold` against these grids (the QuantizeThreshold
+/// tie invariant), which is what lets data::ColumnStore's serving-grid
 /// encoding replace each value by its grid interval and stay
 /// score-bit-identical.
 std::vector<std::vector<float>> ScoringFeatureGrid(

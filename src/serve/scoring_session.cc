@@ -7,148 +7,42 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "gbdt/tree.h"
-#include "serve/simd_kernel.h"
+#include "serve/scoring_kernel.inc"
 
 namespace lightmirm::serve {
+
+// The `scalar` tier: scoring_kernel.inc compiled here for the baseline ISA.
+const ScoringKernel& KernelFor(SimdLevel level) {
+  static constexpr ScoringKernel kScalar{&QuantizeCells, &AccumulateForest};
+  return level == SimdLevel::kAvx2 && DetectedSimdLevel() == SimdLevel::kAvx2
+             ? Avx2ScoringKernel()
+             : kScalar;
+}
+
 namespace {
 
 // Upper bound on rows per shard of the batch loop (and the size of the
-// per-shard weight-table pointer block in ScoreRange).
+// per-shard weight-table pointer and accumulator blocks in ScoreRange).
 constexpr size_t kRowGrain = 1024;
 
-// Rows walked through one tree level in lockstep before moving on (the
-// CompiledForest block capacity). Blocking keeps a tree's SoA node arrays
-// hot in L1 across the whole block and gives the out-of-order core kBlock
-// independent traversal steps per level instead of one serial chain. Each
-// row's accumulator still sums trees in increasing t order, so scores stay
-// bit-identical to the row-major legacy path.
-constexpr size_t kBlock = CompiledForest::kBlockRows;
-
-// Scores rows [begin, end) of `raw` against the single weight table `w`
-// (bias last at index `cols`).
-void ScoreBlockwiseGlobal(const CompiledForest& forest, const Matrix& raw,
-                          size_t begin, size_t end, const double* w,
-                          size_t cols, double* out) {
-  const size_t num_trees = forest.num_trees();
-  const double bias = w[cols];
-  const double* rows[kBlock];
-  uint32_t col[kBlock];
-  double acc[kBlock];
-  for (size_t r0 = begin; r0 < end; r0 += kBlock) {
-    const size_t n = std::min(kBlock, end - r0);
-    for (size_t i = 0; i < n; ++i) {
-      rows[i] = raw.Row(r0 + i);
-      acc[i] = 0.0;
-    }
-    for (size_t t = 0; t < num_trees; ++t) {
-      forest.LeafColumnsBlock(t, rows, n, col);
-      for (size_t i = 0; i < n; ++i) acc[i] += w[col[i]];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      out[r0 + i] = linear::Sigmoid(acc[i] + bias);
-    }
-  }
-}
-
-// Per-env form: `tables[r - begin]` is the LR weight table of row r.
-void ScoreBlockwisePerRow(const CompiledForest& forest, const Matrix& raw,
-                          size_t begin, size_t end,
-                          const double* const* tables, size_t cols,
-                          double* out) {
-  const size_t num_trees = forest.num_trees();
-  const double* rows[kBlock];
-  uint32_t col[kBlock];
-  double acc[kBlock];
-  for (size_t r0 = begin; r0 < end; r0 += kBlock) {
-    const size_t n = std::min(kBlock, end - r0);
-    const double* const* tab = tables + (r0 - begin);
-    for (size_t i = 0; i < n; ++i) {
-      rows[i] = raw.Row(r0 + i);
-      acc[i] = 0.0;
-    }
-    for (size_t t = 0; t < num_trees; ++t) {
-      forest.LeafColumnsBlock(t, rows, n, col);
-      for (size_t i = 0; i < n; ++i) acc[i] += tab[i][col[i]];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      out[r0 + i] = linear::Sigmoid(acc[i] + tab[i][cols]);
-    }
-  }
-}
-
-// SIMD form of ScoreBlockwiseGlobal: rows come from the float feature
-// plane (stride floats per row). Forests whose trees all fit the 32-bit
-// leaf masks take the bitvector evaluation (no per-level gather chains);
-// wider trees fall back to the lane-group gather descent, where each
-// 64-row block runs through the quantized forest tile by tile so one
-// tile's nodes stay L1-hot across the whole block. Either way the
-// accumulation visits trees in increasing order, so scores match the
-// scalar paths bit for bit.
-void ScoreBlockwiseSimdGlobal(const QuantizedForest& forest,
-                              const float* plane, size_t stride,
-                              size_t begin, size_t end, const double* w,
-                              size_t cols, double* out) {
-  const double bias = w[cols];
-  double acc[kBlock];
-  for (size_t r0 = begin; r0 < end; r0 += kBlock) {
-    const size_t n = std::min(kBlock, end - r0);
-    std::fill(acc, acc + n, 0.0);
-    if (forest.bitvector_ready()) {
-      Avx2BitvectorAccumulateBlock(forest, plane + r0 * stride, stride, n,
-                                   w, acc);
-    } else {
-      for (size_t k = 0; k < forest.num_tiles(); ++k) {
-        Avx2AccumulateBlock(forest, forest.tile_tree_begin(k),
-                            forest.tile_tree_end(k), plane + r0 * stride,
-                            stride, n, w, acc);
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      out[r0 + i] = linear::Sigmoid(acc[i] + bias);
-    }
-  }
-}
-
-void ScoreBlockwiseSimdPerRow(const QuantizedForest& forest,
-                              const float* plane, size_t stride,
-                              size_t begin, size_t end,
-                              const double* const* tables, size_t cols,
-                              double* out) {
-  double acc[kBlock];
-  for (size_t r0 = begin; r0 < end; r0 += kBlock) {
-    const size_t n = std::min(kBlock, end - r0);
-    const double* const* tab = tables + (r0 - begin);
-    std::fill(acc, acc + n, 0.0);
-    if (forest.bitvector_ready()) {
-      Avx2BitvectorAccumulateBlockPerRow(forest, plane + r0 * stride,
-                                         stride, n, tab, acc);
-    } else {
-      for (size_t k = 0; k < forest.num_tiles(); ++k) {
-        Avx2AccumulateBlockPerRow(forest, forest.tile_tree_begin(k),
-                                  forest.tile_tree_end(k),
-                                  plane + r0 * stride, stride, n, tab, acc);
-      }
-    }
-    for (size_t i = 0; i < n; ++i) {
-      out[r0 + i] = linear::Sigmoid(acc[i] + tab[i][cols]);
-    }
-  }
-}
-
-// Deterministic shard grain for a batch of `rows`: whole 64-row blocks,
+// Deterministic shard grain for a batch of `rows`: whole kernel groups,
 // sized so a batch splits into roughly kTargetShards shards — enough
-// slack for any plausible pool width to balance (the old fixed 1024-row
-// grain cut a 20k-row batch into only 20 shards, so an 8-thread pool ran
-// the tail 4 threads idle) — but never finer than one block nor coarser
-// than kRowGrain (the ScoreRange table-pointer bound). A pure function of
-// the batch size only: shard structure stays independent of the thread
-// count, exactly like the fixed grain it replaces.
+// slack for any plausible pool width to balance — but never finer than
+// one group nor coarser than kRowGrain. Only a batch's last shard can end
+// in a partial group. A pure function of the batch size only: shard
+// structure stays independent of the thread count.
 size_t ServingGrain(size_t rows) {
   constexpr size_t kTargetShards = 64;
-  const size_t blocks = (rows + kBlock - 1) / kBlock;
-  const size_t blocks_per_shard = (blocks + kTargetShards - 1) / kTargetShards;
-  return std::min(blocks_per_shard, kRowGrain / kBlock) * kBlock;
+  const size_t groups = (rows + kGroupRows - 1) / kGroupRows;
+  const size_t groups_per_shard = (groups + kTargetShards - 1) / kTargetShards;
+  return std::min(groups_per_shard, kRowGrain / kGroupRows) * kGroupRows;
+}
+
+// This thread's leaf-mask scratch for the kernel.
+uint32_t* MaskScratch(size_t trees) {
+  static thread_local std::vector<uint32_t> masks;
+  masks.resize(trees * kGroupRows);
+  return masks.data();
 }
 
 }  // namespace
@@ -207,10 +101,8 @@ Result<ScoringSession> ScoringSession::Create(
   }
   ScoringSession session;
   session.forest_ = std::move(forest);
-  LIGHTMIRM_ASSIGN_OR_RETURN(QuantizedForest quantized,
-                             QuantizedForest::Build(*session.forest_));
-  session.quantized_ =
-      std::make_shared<const QuantizedForest>(std::move(quantized));
+  session.quantized_ = std::make_shared<const QuantizedForest>(
+      QuantizedForest::Build(*session.forest_));
   session.monitor_slot_ = std::make_shared<MonitorSlot>();
   session.global_ = predictor.global.params();
   for (const auto& [env, model] : predictor.per_env) {
@@ -241,45 +133,37 @@ std::optional<BatchWidthError> ScoringSession::CheckBatchWidth(
   return error;
 }
 
-void ScoringSession::ScoreRange(const Matrix& raw, const float* plane,
-                                size_t stride, size_t begin, size_t end,
+void ScoringSession::ScoreRange(const ScoringKernel& kernel,
+                                const float* plane, size_t stride,
+                                size_t begin, size_t end,
                                 const std::vector<int>* envs,
                                 double* out) const {
-  const CompiledForest& forest = *forest_;
-  const QuantizedForest& quantized = *quantized_;
-  const size_t cols = forest.num_columns();
-  if (envs == nullptr || env_tables_.empty()) {
-    const double* w = global_.data();
-    if (plane != nullptr) {
-      ScoreBlockwiseSimdGlobal(quantized, plane, stride, begin, end, w,
-                               cols, out);
-    } else {
-      ScoreBlockwiseGlobal(forest, raw, begin, end, w, cols, out);
-    }
-    if (telemetry_.override_misses != nullptr && !env_tables_.empty()) {
-      telemetry_.override_misses->Increment(end - begin);
-    }
-    return;
-  }
-  // Resolve each row's weight table once up front; the hot kernel then
-  // only chases preresolved pointers. A range is at most kRowGrain rows
-  // (the shard grain), so the pointer block lives on the stack.
+  // Resolve each row's weight table once up front; the kernel then only
+  // chases preresolved pointers. A range is at most kRowGrain rows (the
+  // shard grain), so the pointer and accumulator blocks live on the stack.
+  const size_t n = end - begin;
   const double* global_table = global_.data();
   const double* tab[kRowGrain];
   size_t hits = 0;
-  for (size_t r = begin; r < end; ++r) {
-    tab[r - begin] = TableFor((*envs)[r]).data();
-    hits += tab[r - begin] != global_table ? 1 : 0;
-  }
-  if (telemetry_.override_hits != nullptr) {
-    telemetry_.override_hits->Increment(hits);
-    telemetry_.override_misses->Increment(end - begin - hits);
-  }
-  if (plane != nullptr) {
-    ScoreBlockwiseSimdPerRow(quantized, plane, stride, begin, end, tab,
-                             cols, out);
+  if (envs == nullptr || env_tables_.empty()) {
+    std::fill(tab, tab + n, global_table);
   } else {
-    ScoreBlockwisePerRow(forest, raw, begin, end, tab, cols, out);
+    for (size_t i = 0; i < n; ++i) {
+      tab[i] = TableFor((*envs)[begin + i]).data();
+      hits += tab[i] != global_table ? 1 : 0;
+    }
+  }
+  if (telemetry_.override_hits != nullptr && !env_tables_.empty()) {
+    telemetry_.override_hits->Increment(hits);
+    telemetry_.override_misses->Increment(n - hits);
+  }
+  double acc[kRowGrain];
+  std::fill(acc, acc + n, 0.0);
+  kernel.accumulate(*quantized_, plane + begin * stride, stride, n, tab, acc,
+                    MaskScratch(quantized_->num_trees()));
+  const size_t bias = quantized_->num_columns();
+  for (size_t i = 0; i < n; ++i) {
+    out[begin + i] = linear::Sigmoid(acc[i] + tab[i][bias]);
   }
 }
 
@@ -311,8 +195,8 @@ Status ScoringSession::ScoreBatch(const ScoringSession* const* sessions,
             "champion and challenger outputs must be distinct");
       }
     }
-    // One width check per batch and session — every per-block kernel
-    // below relies on it.
+    // One width check per batch and session — the kernel below relies on
+    // it.
     if (const std::optional<BatchWidthError> width =
             sessions[s]->CheckBatchWidth(raw)) {
       return WidthError(*width);
@@ -325,14 +209,12 @@ Status ScoringSession::ScoreBatch(const ScoringSession* const* sessions,
                   raw.rows()));
   }
   for (size_t s = 0; s < num_sessions; ++s) outs[s]->resize(raw.rows());
-  const bool use_simd = ActiveSimdLevel() != SimdLevel::kScalar;
+  const ScoringKernel& kernel = KernelFor(ActiveSimdLevel());
   // The float plane is shared by every session and every tree; each shard
-  // converts its own rows (gbdt::QuantizeThreshold rounding, vectorized)
-  // right before scoring them, so the cells are still in cache for the
-  // descent and the batch needs exactly one pool dispatch. The scalar
-  // path skips the plane and re-reads the double rows tree by tree.
-  float* plane =
-      use_simd ? internal::PlaneBuffer(raw.rows() * stride) : nullptr;
+  // converts its own rows (gbdt::QuantizeThreshold rounding) right before
+  // scoring them, so the cells are still in cache for the sweep and the
+  // batch needs exactly one pool dispatch.
+  float* plane = internal::PlaneBuffer(raw.rows() * stride);
   // Stage attribution: busy time per internal shard, summed atomically.
   // The timing brackets never reorder or touch the compute, so scores are
   // bit-identical with or without `stages`.
@@ -344,15 +226,13 @@ Status ScoringSession::ScoreBatch(const ScoringSession* const* sessions,
         using Clock = std::chrono::steady_clock;
         const auto t0 = stages != nullptr ? Clock::now()
                                           : Clock::time_point{};
-        if (plane != nullptr) {
-          for (size_t r = begin; r < end; ++r) {
-            Avx2QuantizeCells(raw.Row(r), plane + r * stride, stride);
-          }
+        for (size_t r = begin; r < end; ++r) {
+          kernel.quantize_cells(raw.Row(r), plane + r * stride, stride);
         }
         const auto t1 = stages != nullptr ? Clock::now()
                                           : Clock::time_point{};
         for (size_t s = 0; s < num_sessions; ++s) {
-          sessions[s]->ScoreRange(raw, plane, stride, begin, end, envs,
+          sessions[s]->ScoreRange(kernel, plane, stride, begin, end, envs,
                                   outs[s]->data());
         }
         if (stages != nullptr) {

@@ -1,19 +1,19 @@
 // ScoringSession: a reusable batch scorer over a CompiledForest. Fuses the
 // three passes of the legacy inference path (leaf encoding into a sparse
-// FeatureMatrix, per-row sparse dot, sigmoid) into one traversal per row —
+// FeatureMatrix, per-row sparse dot, sigmoid) into one pass per row group —
 // sigmoid(bias + Σ_t w[leaf_col(t, row)]) — with zero heap allocations in
-// steady state: the caller owns the output buffer, per-row work needs no
-// scratch, and the SIMD path's float feature plane lives in a thread-local
-// buffer that is reused across batches. Batches shard across the process
-// thread pool deterministically (per-row outputs are disjoint), and the
-// fine-tune baseline's per-env weight overrides are honored exactly as
+// steady state: the caller owns the output buffer, and the float feature
+// plane and the kernel's leaf masks live in thread-local buffers reused
+// across batches. Batches shard across the process thread pool
+// deterministically (per-row outputs are disjoint), and the fine-tune
+// baseline's per-env weight overrides are honored exactly as
 // TrainedPredictor::Predict does.
 //
-// Kernel selection is per batch through serve/simd_dispatch.h: when the
-// active level is kAvx2 the batch is converted once into a row-major float
-// plane and walked by the quantized AVX2 kernel (simd_kernel.h); otherwise
-// the portable double-precision lockstep path runs. Both produce
-// bit-identical scores (the LR accumulation stays in double either way).
+// Every batch is converted into a row-major float plane and scored by the
+// one scoring kernel (serve/simd_kernel.h), in the build ActiveSimdLevel()
+// picks per batch: the baseline-ISA `scalar` build or the -mavx2 `avx2`
+// build of the same source. Both produce bit-identical scores (the LR
+// accumulation stays in double either way).
 #pragma once
 
 #include <map>
@@ -33,6 +33,8 @@
 #include "train/trainer.h"
 
 namespace lightmirm::serve {
+
+struct ScoringKernel;
 
 namespace internal {
 
@@ -75,8 +77,8 @@ struct BatchWidthError {
 /// minus dispatch overhead. Collecting costs two clock reads per internal
 /// shard; passing nullptr costs one branch.
 struct ScoreStageTiming {
-  uint64_t convert_ns = 0;  ///< float-plane conversion (0 on scalar path)
-  uint64_t kernel_ns = 0;   ///< forest traversal + LR accumulation
+  uint64_t convert_ns = 0;  ///< float-plane conversion
+  uint64_t kernel_ns = 0;   ///< forest sweep + LR accumulation + sigmoid
 };
 
 /// Batch scorer binding a compiled forest to trained LR weights.
@@ -89,7 +91,6 @@ class ScoringSession {
       const train::TrainedPredictor& predictor);
 
   const CompiledForest& forest() const { return *forest_; }
-  const QuantizedForest& quantized_forest() const { return *quantized_; }
   size_t num_env_overrides() const { return env_tables_.size(); }
 
   /// Validates the batch width against the forest once per batch (hoisted
@@ -116,10 +117,10 @@ class ScoringSession {
 
   /// Scores one batch with two sessions — the registry's champion and a
   /// shadow challenger — in a single pass: one batch-width check each, one
-  /// shared float-plane conversion (at the wider of the two strides; both
-  /// kernels read the plane through an explicit stride, so the challenger
+  /// shared float-plane conversion (at the wider of the two strides; the
+  /// kernel reads the plane through an explicit stride, so the challenger
   /// reuses the champion's converted cells), and one shard dispatch that
-  /// walks both forests per shard while the rows are cache-hot. Outputs
+  /// sweeps both forests per shard while the rows are cache-hot. Outputs
   /// are bit-identical to scoring each session alone. Neither session's
   /// attached monitor is fed — shadow evaluation owns its monitors and
   /// usually has (delayed) labels the serving path does not, so the
@@ -149,25 +150,24 @@ class ScoringSession {
   /// The one batch-prep + dispatch path behind Score and ScoreShadow:
   /// validates the batch against every session (width, envs size), sizes
   /// the outputs, and runs a single fused shard dispatch in which each
-  /// shard converts its own rows into the shared float plane (SIMD levels
-  /// only) and scores them for every session while they are cache-hot —
-  /// one pool wakeup per batch, no separate conversion pass. The plane is
-  /// laid out at the widest session's stride and indexed through it
-  /// explicitly, so cells (and scores) are bit-identical however many
-  /// sessions share the batch.
+  /// shard converts its own rows into the shared float plane and scores
+  /// them for every session while they are cache-hot — one pool wakeup
+  /// per batch, no separate conversion pass. The plane is laid out at the
+  /// widest session's stride and indexed through it explicitly, so cells
+  /// (and scores) are bit-identical however many sessions share the batch.
   static Status ScoreBatch(const ScoringSession* const* sessions,
                            size_t num_sessions, const Matrix& raw,
                            const std::vector<int>* envs,
                            std::vector<double>* const* outs,
                            ScoreStageTiming* stages = nullptr);
 
-  /// Scores rows [begin, end) (one shard, <= the shard grain) against the
-  /// per-env/global tables, reading the shared float plane when non-null.
+  /// Scores rows [begin, end) (one shard, <= the shard grain) of the
+  /// shared float plane with `kernel` against the per-env/global tables.
   /// Factored out of Score so the shadow path can interleave two sessions
   /// inside one shard dispatch.
-  void ScoreRange(const Matrix& raw, const float* plane, size_t stride,
-                  size_t begin, size_t end, const std::vector<int>* envs,
-                  double* out) const;
+  void ScoreRange(const ScoringKernel& kernel, const float* plane,
+                  size_t stride, size_t begin, size_t end,
+                  const std::vector<int>* envs, double* out) const;
 
   /// Weight lookup for one row's environment (legacy override semantics).
   const linear::ParamVec& TableFor(int env) const {

@@ -21,15 +21,13 @@ bool CpuSupportsAvx2() {
 std::atomic<int>& ActiveLevelSlot() {
   static std::atomic<int> level{static_cast<int>(
       ResolveSimdLevel(std::getenv("LIGHTMIRM_SIMD_LEVEL"),
-                       std::getenv("LIGHTMIRM_FORCE_SCALAR"),
                        DetectedSimdLevel()))};
   return level;
 }
 
 }  // namespace
 
-SimdLevel ResolveSimdLevel(const char* simd_level, const char* force_scalar,
-                           SimdLevel detected) {
+SimdLevel ResolveSimdLevel(const char* simd_level, SimdLevel detected) {
   if (simd_level != nullptr && simd_level[0] != '\0') {
     if (std::strcmp(simd_level, "scalar") == 0) return SimdLevel::kScalar;
     if (std::strcmp(simd_level, "avx2") == 0) {
@@ -43,11 +41,6 @@ SimdLevel ResolveSimdLevel(const char* simd_level, const char* force_scalar,
                    "(want scalar|avx2|auto); using auto\n",
                    simd_level);
     }
-    // "auto" (and unknown values) fall through to the legacy variable.
-  }
-  if (force_scalar != nullptr && force_scalar[0] != '\0' &&
-      std::strcmp(force_scalar, "0") != 0) {
-    return SimdLevel::kScalar;
   }
   return detected;
 }

@@ -1,28 +1,25 @@
-// Runtime CPU dispatch for the serving kernels. The AVX2 scoring kernel
-// lives in its own translation unit (simd_kernel.cc, compiled with -mavx2);
-// everything else in the binary is built for the baseline ISA, so whether
-// the vector kernel may run is a runtime question: the build must contain
-// it, the CPU must report AVX2, and the operator must not have pinned a
-// tier through the environment. ScoringSession consults ActiveSimdLevel()
-// per batch; benches and tests pin levels explicitly to compare kernels on
-// the same machine.
+// Runtime CPU dispatch for the scoring kernel. The kernel is one portable
+// source compiled twice (serve/simd_kernel.h): for the baseline ISA, and
+// with -mavx2 in simd_kernel.cc. Everything else in the binary is built for
+// the baseline ISA, so whether the AVX2 build may run is a runtime
+// question: the build must contain it, the CPU must report AVX2, and the
+// operator must not have pinned a tier through the environment.
+// ScoringSession consults ActiveSimdLevel() per batch; benches and tests
+// pin levels explicitly to compare the builds on the same machine.
 //
-// Environment control, in precedence order (resolved once at first use):
+// Environment control (resolved once at first use):
 //   LIGHTMIRM_SIMD_LEVEL=scalar|avx2|auto  pins a kernel tier per process
-//       ("avx2" is clamped to what the build + CPU support; "auto" defers
-//       to the legacy variable, then to detection; unknown values warn and
-//       behave like "auto").
-//   LIGHTMIRM_FORCE_SCALAR=1               legacy spelling of "scalar",
-//       still honored when LIGHTMIRM_SIMD_LEVEL is unset or "auto".
+//       ("avx2" is clamped to what the build + CPU support; "auto", unset
+//       and unknown values — which warn — use detection).
 #pragma once
 
 #include <string>
 
 namespace lightmirm::serve {
 
-/// Kernel tiers, ordered by preference. kScalar is the portable lockstep
-/// double-precision descent (CompiledForest::LeafColumnsBlock); kAvx2 is
-/// the quantized 8-lane gather kernel (simd_kernel.h).
+/// Kernel tiers, ordered by preference: the scoring kernel built for the
+/// baseline ISA (kScalar) and built with -mavx2 (kAvx2). Both run the same
+/// source, so they score bit-identically.
 enum class SimdLevel {
   kScalar = 0,
   kAvx2 = 1,
@@ -36,18 +33,16 @@ const char* SimdLevelName(SimdLevel level);
 SimdLevel DetectedSimdLevel();
 
 /// Level the scoring path currently selects. Starts at the environment
-/// resolution above (ResolveSimdLevel over LIGHTMIRM_SIMD_LEVEL /
-/// LIGHTMIRM_FORCE_SCALAR), read once at first use.
+/// resolution above (ResolveSimdLevel over LIGHTMIRM_SIMD_LEVEL), read
+/// once at first use.
 SimdLevel ActiveSimdLevel();
 
-/// Pure resolution of the environment controls, exposed so the precedence
-/// order is unit-testable without mutating the process environment:
-/// `simd_level` / `force_scalar` stand in for the two variables (null =
-/// unset), `detected` for DetectedSimdLevel(). Requested tiers above
-/// `detected` are clamped to it; an unrecognized `simd_level` value warns
-/// on stderr and falls through to the "auto" path.
-SimdLevel ResolveSimdLevel(const char* simd_level, const char* force_scalar,
-                           SimdLevel detected);
+/// Pure resolution of the environment control, exposed so it is
+/// unit-testable without mutating the process environment: `simd_level`
+/// stands in for the variable (null = unset), `detected` for
+/// DetectedSimdLevel(). Requested tiers above `detected` are clamped to
+/// it; an unrecognized value warns on stderr and behaves like "auto".
+SimdLevel ResolveSimdLevel(const char* simd_level, SimdLevel detected);
 
 /// Overrides the active level, clamped to DetectedSimdLevel() (requesting
 /// kAvx2 on a scalar-only machine stays scalar). Returns the level actually

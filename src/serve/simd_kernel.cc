@@ -1,521 +1,24 @@
+// The `avx2` tier: the scoring kernel compiled with -mavx2 (see
+// src/CMakeLists.txt). On other targets this file builds the portable
+// kernel a second time, Avx2KernelAvailable() is false, and dispatch never
+// selects it.
 #include "serve/simd_kernel.h"
 
-#include <algorithm>
-#include <bit>
-#include <cstdlib>
-#include <cstring>
-#include <vector>
-
-#include "gbdt/tree.h"
-#include "serve/quantized_forest.h"
-
-#if defined(__AVX2__) && (defined(__x86_64__) || defined(_M_X64))
-#define LIGHTMIRM_HAVE_AVX2_KERNEL 1
-#include <immintrin.h>
-// GCC implements the unmasked gather intrinsics on top of the masked forms
-// with an undefined pass-through operand, which -Wmaybe-uninitialized
-// flags; the pass-through lanes are fully overwritten under an all-ones
-// mask, so the warning is a known false positive here.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-#else
-#define LIGHTMIRM_HAVE_AVX2_KERNEL 0
-#endif
+#include "serve/scoring_kernel.inc"
 
 namespace lightmirm::serve {
 
-bool Avx2KernelAvailable() { return LIGHTMIRM_HAVE_AVX2_KERNEL != 0; }
-
-#if LIGHTMIRM_HAVE_AVX2_KERNEL
-
-namespace {
-
-constexpr size_t kLanes = 8;
-
-// Walks 8 plane rows (lane i at base + i*stride) through tree t's padded
-// depth and returns the lanes' final node indices. row_off carries the
-// per-lane row start offsets so the feature gather is one vector add away.
-inline __m256i Descend8(const QuantizedForest& forest, size_t t,
-                        const float* base, __m256i row_off) {
-  const int32_t* feature = forest.feature();
-  const float* threshold = forest.threshold();
-  const int32_t* kids = forest.kids();
-  const __m256i one = _mm256_set1_epi32(1);
-  __m256i idx = _mm256_set1_epi32(forest.roots()[t]);
-  for (int32_t d = forest.depths()[t]; d > 0; --d) {
-    const __m256i feat = _mm256_i32gather_epi32(feature, idx, 4);
-    const __m256 thr = _mm256_i32gather_ps(threshold, idx, 4);
-    const __m256 x =
-        _mm256_i32gather_ps(base, _mm256_add_epi32(row_off, feat), 4);
-    // All-ones where x <= thr (go left); NaN compares false and goes right,
-    // matching `!(x <= thr)` in the scalar descents.
-    const __m256i le =
-        _mm256_castps_si256(_mm256_cmp_ps(x, thr, _CMP_LE_OQ));
-    // Interleaved kids: slot 2*idx for left, 2*idx + 1 for right; le is -1
-    // on the left lanes, so 2*idx + 1 + le selects without a branch.
-    const __m256i slot = _mm256_add_epi32(
-        _mm256_add_epi32(_mm256_slli_epi32(idx, 1), one), le);
-    idx = _mm256_i32gather_epi32(kids, slot, 4);
-  }
-  return idx;
+bool Avx2KernelAvailable() {
+#if defined(__AVX2__)
+  return true;
+#else
+  return false;
+#endif
 }
 
-inline __m256i RowOffsets(size_t stride) {
-  const int32_t s = static_cast<int32_t>(stride);
-  return _mm256_setr_epi32(0, s, 2 * s, 3 * s, 4 * s, 5 * s, 6 * s, 7 * s);
+const ScoringKernel& Avx2ScoringKernel() {
+  static constexpr ScoringKernel kKernel{&QuantizeCells, &AccumulateForest};
+  return kKernel;
 }
-
-// One tree's descent is a serial gather chain (feature -> plane value ->
-// kids), so a single 8-lane group runs latency-bound. Walking G groups
-// (8*G rows) through the tree in lockstep interleaves G independent chains
-// per level, which keeps the gather ports saturated instead of waiting out
-// each chain. G = 8 keeps the gather ports busy across their ~4-cycle
-// issue throughput while the lane indices still fit the register file.
-constexpr size_t kMaxWaveGroups = 8;
-
-// Descends rows [0, 8*G) of `base` through tree t and stores the lanes'
-// leaf LR columns into cols[0..G). G is a compile-time constant so the
-// group loops fully unroll and idx[] stays in registers.
-template <size_t G>
-inline void DescendWave(const QuantizedForest& forest, size_t t,
-                        const float* base, size_t stride, __m256i row_off,
-                        __m256i cols[G]) {
-  const int32_t* feature = forest.feature();
-  const float* threshold = forest.threshold();
-  const int32_t* kids = forest.kids();
-  const int* leaf_col = reinterpret_cast<const int*>(forest.leaf_col());
-  const __m256i one = _mm256_set1_epi32(1);
-  __m256i idx[G];
-  const __m256i root = _mm256_set1_epi32(forest.roots()[t]);
-  for (size_t g = 0; g < G; ++g) idx[g] = root;
-  for (int32_t d = forest.depths()[t]; d > 0; --d) {
-    for (size_t g = 0; g < G; ++g) {
-      const __m256i feat = _mm256_i32gather_epi32(feature, idx[g], 4);
-      const __m256 thr = _mm256_i32gather_ps(threshold, idx[g], 4);
-      const __m256 x = _mm256_i32gather_ps(
-          base + g * kLanes * stride, _mm256_add_epi32(row_off, feat), 4);
-      // All-ones where x <= thr (go left); NaN compares false and goes
-      // right, matching `!(x <= thr)` in the scalar descents.
-      const __m256i le =
-          _mm256_castps_si256(_mm256_cmp_ps(x, thr, _CMP_LE_OQ));
-      // Interleaved kids: slot 2*idx for left, 2*idx + 1 for right; le is
-      // -1 on the left lanes, so 2*idx + 1 + le selects without a branch.
-      const __m256i slot = _mm256_add_epi32(
-          _mm256_add_epi32(_mm256_slli_epi32(idx[g], 1), one), le);
-      idx[g] = _mm256_i32gather_epi32(kids, slot, 4);
-    }
-  }
-  for (size_t g = 0; g < G; ++g) {
-    cols[g] = _mm256_i32gather_epi32(leaf_col, idx[g], 4);
-  }
-}
-
-// Accumulates trees [tree_begin, tree_end) into acc for one wave of G
-// groups. The accumulation is per-lane double adds in increasing tree
-// order — the exact addition sequence of the scalar paths — with the
-// leaf -> LR-column gather fused into the end of each descent.
-template <size_t G>
-void AccumulateWave(const QuantizedForest& forest, size_t tree_begin,
-                    size_t tree_end, const float* base, size_t stride,
-                    __m256i row_off, const double* w, double* acc) {
-  __m256i cols[G];
-  for (size_t t = tree_begin; t < tree_end; ++t) {
-    DescendWave<G>(forest, t, base, stride, row_off, cols);
-    for (size_t g = 0; g < G; ++g) {
-      const size_t at = g * kLanes;
-      _mm256_storeu_pd(
-          acc + at,
-          _mm256_add_pd(_mm256_loadu_pd(acc + at),
-                        _mm256_i32gather_pd(
-                            w, _mm256_castsi256_si128(cols[g]), 8)));
-      _mm256_storeu_pd(
-          acc + at + 4,
-          _mm256_add_pd(_mm256_loadu_pd(acc + at + 4),
-                        _mm256_i32gather_pd(
-                            w, _mm256_extracti128_si256(cols[g], 1), 8)));
-    }
-  }
-}
-
-// Per-row weight-table variant: lane k of group g reads its own table, so
-// the final accumulation is scalar; the descents still run vectorized.
-template <size_t G>
-void AccumulateWavePerRow(const QuantizedForest& forest, size_t tree_begin,
-                          size_t tree_end, const float* base, size_t stride,
-                          __m256i row_off, const double* const* tables,
-                          double* acc) {
-  __m256i cols[G];
-  alignas(32) uint32_t lane_cols[kLanes];
-  for (size_t t = tree_begin; t < tree_end; ++t) {
-    DescendWave<G>(forest, t, base, stride, row_off, cols);
-    for (size_t g = 0; g < G; ++g) {
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lane_cols), cols[g]);
-      const size_t at = g * kLanes;
-      for (size_t k = 0; k < kLanes; ++k) {
-        acc[at + k] += tables[at + k][lane_cols[k]];
-      }
-    }
-  }
-}
-
-// Fills masks[t * G * 8 + g * 8 + k] with the surviving leaf mask of tree
-// t for lane k of lane group g over the W = G * 8 rows at `base`. One
-// sweep per feature: the plane values are gathered once, then the
-// feature's nodes (thresholds ascending) are compared against them; lanes
-// where the condition x <= thr is FALSE (NaN included, matching the
-// descent's go-right) AND in the node's clear mask.
-//
-// Wide form rationale: W rows share one sweep, so each node's threshold /
-// tree / clear-mask loads amortize over G lane groups — the sweep is
-// load-port bound, and those three loads per node are the part that does
-// not scale with rows. No early-out here: with 32 lanes the all-lanes-true
-// break almost never fires before the end of a feature's list, so the
-// movemask dependency costs more than the nodes it skips.
-template <size_t G>
-inline void BitvectorMasksWide(const QuantizedForest& forest,
-                               const float* base, size_t stride,
-                               __m256i row_off, uint32_t* masks) {
-  constexpr size_t kWide = G * kLanes;
-  std::memset(masks, 0xFF, forest.num_trees() * kWide * sizeof(uint32_t));
-  const int32_t* begin = forest.node_begin_by_feature();
-  const float* thr = forest.sorted_threshold();
-  const int32_t* tree_of = forest.sorted_tree();
-  const uint32_t* clear = forest.sorted_clear_mask();
-  const size_t features = forest.min_feature_count();
-  for (size_t f = 0; f < features; ++f) {
-    int32_t j = begin[f];
-    const int32_t e = begin[f + 1];
-    if (j == e) continue;
-    __m256 x[G];
-    const __m256i col_off =
-        _mm256_add_epi32(row_off, _mm256_set1_epi32(static_cast<int32_t>(f)));
-    for (size_t g = 0; g < G; ++g) {
-      x[g] = _mm256_i32gather_ps(base + g * kLanes * stride, col_off, 4);
-    }
-    for (; j < e; ++j) {
-      const __m256 tv = _mm256_set1_ps(thr[j]);
-      const __m256i clear_bc =
-          _mm256_set1_epi32(static_cast<int32_t>(clear[j]));
-      uint32_t* m = masks + static_cast<size_t>(tree_of[j]) * kWide;
-      for (size_t g = 0; g < G; ++g) {
-        const __m256 go_right = _mm256_cmp_ps(x[g], tv, _CMP_NLE_UQ);
-        __m256i* slot = reinterpret_cast<__m256i*>(m + g * kLanes);
-        const __m256i cur = _mm256_loadu_si256(slot);
-        const __m256i pruned = _mm256_and_si256(cur, clear_bc);
-        _mm256_storeu_si256(
-            slot,
-            _mm256_blendv_epi8(cur, pruned, _mm256_castps_si256(go_right)));
-      }
-    }
-  }
-}
-
-// Resolves the masks of W = G * 8 rows into LR columns and accumulates
-// w[col] into acc. Tree-outer, lane-inner: each row's additions still run
-// in increasing tree order (bit-identical sums), but the rows' FP-add
-// dependency chains interleave instead of serializing.
-template <size_t G>
-inline void BitvectorResolve(const QuantizedForest& forest,
-                             const uint32_t* masks, const double* w,
-                             double* acc) {
-  constexpr size_t kWide = G * kLanes;
-  const uint32_t* cols = forest.leaf_col_by_bit();
-  const size_t trees = forest.num_trees();
-  for (size_t t = 0; t < trees; ++t) {
-    const uint32_t* m = masks + t * kWide;
-    const uint32_t* cb = cols + t * QuantizedForest::kLeafBits;
-    for (size_t k = 0; k < kWide; ++k) {
-      acc[k] += w[cb[static_cast<uint32_t>(std::countr_zero(m[k]))]];
-    }
-  }
-}
-
-template <size_t G>
-inline void BitvectorResolvePerRow(const QuantizedForest& forest,
-                                   const uint32_t* masks,
-                                   const double* const* tables,
-                                   double* acc) {
-  constexpr size_t kWide = G * kLanes;
-  const uint32_t* cols = forest.leaf_col_by_bit();
-  const size_t trees = forest.num_trees();
-  for (size_t t = 0; t < trees; ++t) {
-    const uint32_t* m = masks + t * kWide;
-    const uint32_t* cb = cols + t * QuantizedForest::kLeafBits;
-    for (size_t k = 0; k < kWide; ++k) {
-      acc[k] +=
-          tables[k][cb[static_cast<uint32_t>(std::countr_zero(m[k]))]];
-    }
-  }
-}
-
-}  // namespace
-
-void Avx2BitvectorAccumulateBlock(const QuantizedForest& forest,
-                                  const float* plane, size_t stride,
-                                  size_t n, const double* w, double* acc) {
-  thread_local std::vector<uint32_t> mask_buf;
-  const size_t trees = forest.num_trees();
-  mask_buf.resize(trees * 4 * kLanes);
-  uint32_t* masks = mask_buf.data();
-  const __m256i row_off = RowOffsets(stride);
-  size_t i = 0;
-  for (; i + 4 * kLanes <= n; i += 4 * kLanes) {
-    BitvectorMasksWide<4>(forest, plane + i * stride, stride, row_off,
-                          masks);
-    BitvectorResolve<4>(forest, masks, w, acc + i);
-  }
-  for (; i + kLanes <= n; i += kLanes) {
-    BitvectorMasksWide<1>(forest, plane + i * stride, stride, row_off,
-                          masks);
-    BitvectorResolve<1>(forest, masks, w, acc + i);
-  }
-  for (; i < n; ++i) {
-    const float* row = plane + i * stride;
-    double a = acc[i];
-    for (size_t t = 0; t < trees; ++t) {
-      a += w[forest.LeafColumn(t, row)];
-    }
-    acc[i] = a;
-  }
-}
-
-void Avx2BitvectorAccumulateBlockPerRow(const QuantizedForest& forest,
-                                        const float* plane, size_t stride,
-                                        size_t n,
-                                        const double* const* tables,
-                                        double* acc) {
-  thread_local std::vector<uint32_t> mask_buf;
-  const size_t trees = forest.num_trees();
-  mask_buf.resize(trees * 4 * kLanes);
-  uint32_t* masks = mask_buf.data();
-  const __m256i row_off = RowOffsets(stride);
-  size_t i = 0;
-  for (; i + 4 * kLanes <= n; i += 4 * kLanes) {
-    BitvectorMasksWide<4>(forest, plane + i * stride, stride, row_off,
-                          masks);
-    BitvectorResolvePerRow<4>(forest, masks, tables + i, acc + i);
-  }
-  for (; i + kLanes <= n; i += kLanes) {
-    BitvectorMasksWide<1>(forest, plane + i * stride, stride, row_off,
-                          masks);
-    BitvectorResolvePerRow<1>(forest, masks, tables + i, acc + i);
-  }
-  for (; i < n; ++i) {
-    const float* row = plane + i * stride;
-    double a = acc[i];
-    for (size_t t = 0; t < trees; ++t) {
-      a += tables[i][forest.LeafColumn(t, row)];
-    }
-    acc[i] = a;
-  }
-}
-
-void Avx2AccumulateBlock(const QuantizedForest& forest, size_t tree_begin,
-                         size_t tree_end, const float* plane, size_t stride,
-                         size_t n, const double* w, double* acc) {
-  const __m256i row_off = RowOffsets(stride);
-  size_t i = 0;
-  while (n - i >= kLanes) {
-    const size_t groups = std::min(kMaxWaveGroups, (n - i) / kLanes);
-    const float* base = plane + i * stride;
-    switch (groups) {
-      case 8:
-        AccumulateWave<8>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-      case 7:
-        AccumulateWave<7>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-      case 6:
-        AccumulateWave<6>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-      case 5:
-        AccumulateWave<5>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-      case 4:
-        AccumulateWave<4>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-      case 3:
-        AccumulateWave<3>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-      case 2:
-        AccumulateWave<2>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-      default:
-        AccumulateWave<1>(forest, tree_begin, tree_end, base, stride,
-                          row_off, w, acc + i);
-        break;
-    }
-    i += groups * kLanes;
-  }
-  for (; i < n; ++i) {
-    const float* row = plane + i * stride;
-    double a = acc[i];
-    for (size_t t = tree_begin; t < tree_end; ++t) {
-      a += w[forest.LeafColumn(t, row)];
-    }
-    acc[i] = a;
-  }
-}
-
-void Avx2AccumulateBlockPerRow(const QuantizedForest& forest,
-                               size_t tree_begin, size_t tree_end,
-                               const float* plane, size_t stride, size_t n,
-                               const double* const* tables, double* acc) {
-  const __m256i row_off = RowOffsets(stride);
-  size_t i = 0;
-  while (n - i >= kLanes) {
-    const size_t groups = std::min(kMaxWaveGroups, (n - i) / kLanes);
-    const float* base = plane + i * stride;
-    switch (groups) {
-      case 8:
-        AccumulateWavePerRow<8>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-      case 7:
-        AccumulateWavePerRow<7>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-      case 6:
-        AccumulateWavePerRow<6>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-      case 5:
-        AccumulateWavePerRow<5>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-      case 4:
-        AccumulateWavePerRow<4>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-      case 3:
-        AccumulateWavePerRow<3>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-      case 2:
-        AccumulateWavePerRow<2>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-      default:
-        AccumulateWavePerRow<1>(forest, tree_begin, tree_end, base, stride,
-                                row_off, tables + i, acc + i);
-        break;
-    }
-    i += groups * kLanes;
-  }
-  for (; i < n; ++i) {
-    const float* row = plane + i * stride;
-    double a = acc[i];
-    for (size_t t = tree_begin; t < tree_end; ++t) {
-      a += tables[i][forest.LeafColumn(t, row)];
-    }
-    acc[i] = a;
-  }
-}
-
-void Avx2LeafColumnsBlock(const QuantizedForest& forest, size_t t,
-                          const float* plane, size_t stride, size_t n,
-                          uint32_t* cols) {
-  const __m256i row_off = RowOffsets(stride);
-  const int* leaf_col = reinterpret_cast<const int*>(forest.leaf_col());
-  size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256i leaf =
-        Descend8(forest, t, plane + i * stride, row_off);
-    const __m256i col = _mm256_i32gather_epi32(leaf_col, leaf, 4);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cols + i), col);
-  }
-  for (; i < n; ++i) {
-    cols[i] = forest.LeafColumn(t, plane + i * stride);
-  }
-}
-
-void Avx2QuantizeCells(const double* src, float* dst, size_t n) {
-  const __m256i top = _mm256_set1_epi32(INT32_MIN);
-  const __m256i ones = _mm256_set1_epi32(-1);
-  size_t c = 0;
-  for (; c + kLanes <= n; c += kLanes) {
-    const __m256d d0 = _mm256_loadu_pd(src + c);
-    const __m256d d1 = _mm256_loadu_pd(src + c + 4);
-    const __m128 f0 = _mm256_cvtpd_ps(d0);  // round-to-nearest, like (float)x
-    const __m128 f1 = _mm256_cvtpd_ps(d1);
-    const __m256 f = _mm256_set_m128(f1, f0);
-    // Lanes whose float image rounded up past the double need one ulp down.
-    // NaN compares false under OQ and passes through, like the scalar path.
-    const __m256d up0 = _mm256_cmp_pd(_mm256_cvtps_pd(f0), d0, _CMP_GT_OQ);
-    const __m256d up1 = _mm256_cmp_pd(_mm256_cvtps_pd(f1), d1, _CMP_GT_OQ);
-    // Compress the two 4x64 masks into one 8x32 mask in f's lane order:
-    // even dwords of each 64-bit mask lane, then fix the 128-bit halves.
-    const __m256 packed = _mm256_shuffle_ps(_mm256_castpd_ps(up0),
-                                            _mm256_castpd_ps(up1),
-                                            _MM_SHUFFLE(2, 0, 2, 0));
-    const __m256i up = _mm256_permute4x64_epi64(_mm256_castps_si256(packed),
-                                                _MM_SHUFFLE(3, 1, 2, 0));
-    // Conditional nextafterf(f, -inf): map the float bits b to the totally
-    // ordered integer o = b ^ ((b >> 31) | 0x80000000), add the -1 mask,
-    // and map back (b = o ^ ((~o >> 31) | 0x80000000)). Matches the scalar
-    // nextafterf on every lane the GT mask can select (f = +0.0 never
-    // steps: it only arises from non-negative doubles).
-    const __m256i b = _mm256_castps_si256(f);
-    const __m256i o = _mm256_add_epi32(
-        _mm256_xor_si256(b,
-                         _mm256_or_si256(_mm256_srai_epi32(b, 31), top)),
-        up);
-    const __m256i stepped = _mm256_xor_si256(
-        o, _mm256_or_si256(
-               _mm256_srai_epi32(_mm256_xor_si256(o, ones), 31), top));
-    _mm256_storeu_ps(dst + c, _mm256_castsi256_ps(stepped));
-  }
-  for (; c < n; ++c) {
-    dst[c] = gbdt::QuantizeThreshold(src[c]);
-  }
-}
-
-#else  // !LIGHTMIRM_HAVE_AVX2_KERNEL
-
-// Portable stubs: the dispatcher never selects kAvx2 when the kernel is
-// not compiled in, so reaching these is a programming error.
-void Avx2AccumulateBlock(const QuantizedForest&, size_t, size_t,
-                         const float*, size_t, size_t, const double*,
-                         double*) {
-  std::abort();
-}
-
-void Avx2BitvectorAccumulateBlock(const QuantizedForest&, const float*,
-                                  size_t, size_t, const double*, double*) {
-  std::abort();
-}
-
-void Avx2BitvectorAccumulateBlockPerRow(const QuantizedForest&, const float*,
-                                        size_t, size_t,
-                                        const double* const*, double*) {
-  std::abort();
-}
-
-void Avx2AccumulateBlockPerRow(const QuantizedForest&, size_t, size_t,
-                               const float*, size_t, size_t,
-                               const double* const*, double*) {
-  std::abort();
-}
-
-void Avx2LeafColumnsBlock(const QuantizedForest&, size_t, const float*,
-                          size_t, size_t, uint32_t*) {
-  std::abort();
-}
-
-void Avx2QuantizeCells(const double* src, float* dst, size_t n) {
-  for (size_t c = 0; c < n; ++c) {
-    dst[c] = gbdt::QuantizeThreshold(src[c]);
-  }
-}
-
-#endif  // LIGHTMIRM_HAVE_AVX2_KERNEL
 
 }  // namespace lightmirm::serve

@@ -1,77 +1,48 @@
-// AVX2 scoring kernel over a QuantizedForest and a row-major float feature
-// plane. Eight rows ride one lane group: each level step gathers the
-// lanes' split features and float thresholds, gathers the corresponding
-// plane values, compares (`_CMP_LE_OQ`, so NaN goes right like the
-// training descent), and blends into the interleaved kids gather — a
-// branch-free lockstep walk. The leaf -> LR-column gather is fused into
-// the step after the last level, and the LR accumulation stays in double
-// (per-lane, trees in increasing order), so the summed scores are
-// bit-identical to the scalar quantized descent and — through the
-// tie-preserving threshold rounding — to the double-precision paths.
-//
-// This translation unit is the only one compiled with -mavx2; callers must
-// gate on ActiveSimdLevel() (serve/simd_dispatch.h). On non-x86 builds the
-// entry points exist but abort if reached.
+// Entry points of the scoring kernel's two builds. serve/scoring_kernel.inc
+// holds the one kernel — the float-plane conversion and the false-node
+// sweep — as portable C++. scoring_session.cc compiles it for the baseline
+// ISA (the `scalar` tier); simd_kernel.cc, the only translation unit built
+// with -mavx2, compiles it again (the `avx2` tier). Both builds run the
+// same source, so their scores are bit-identical by construction, and
+// ScoringSession picks one per batch through ActiveSimdLevel().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "serve/simd_dispatch.h"
+
 namespace lightmirm::serve {
 
 class QuantizedForest;
 
-/// True when this binary contains the AVX2 kernel (compile-time property;
+/// Rows the false-node sweep scores together; the row dimension of the
+/// kernel's leaf-mask scratch and the unit ScoringSession shards batches in.
+inline constexpr size_t kGroupRows = 32;
+
+/// One build of the kernel.
+struct ScoringKernel {
+  /// dst[c] = gbdt::QuantizeThreshold(src[c]) for c in [0, n).
+  void (*quantize_cells)(const double* src, float* dst, size_t n);
+  /// acc[i] += tables[i][leaf column of plane row i in tree t], summed in
+  /// increasing tree order, for n plane rows of `stride` floats each.
+  /// A row without an env override points at the global table. `masks`
+  /// is scratch of forest.num_trees() * kGroupRows entries.
+  void (*accumulate)(const QuantizedForest& forest, const float* plane,
+                     size_t stride, size_t n, const double* const* tables,
+                     double* acc, uint32_t* masks);
+};
+
+/// The build for `level`, clamped to DetectedSimdLevel() so a caller can
+/// never reach AVX2 instructions the CPU lacks. Defined beside the scalar
+/// build in scoring_session.cc.
+const ScoringKernel& KernelFor(SimdLevel level);
+
+/// True when simd_kernel.cc was built with AVX2 (a compile-time property;
 /// whether the CPU can run it is DetectedSimdLevel()'s job).
 bool Avx2KernelAvailable();
 
-/// acc[i] += sum over trees [tree_begin, tree_end) of w[leaf_col(t, row i)]
-/// for n <= CompiledForest::kBlockRows rows starting at `plane` with
-/// `stride` floats per row. Lane-group tails (n % 8) fall back to the
-/// scalar quantized descent — same arithmetic, same results.
-void Avx2AccumulateBlock(const QuantizedForest& forest, size_t tree_begin,
-                         size_t tree_end, const float* plane, size_t stride,
-                         size_t n, const double* w, double* acc);
-
-/// Per-row weight-table variant (fine-tune env overrides): row i reads
-/// tables[i]. Leaf columns are still computed 8 lanes at a time; the
-/// per-row accumulation is scalar because each lane gathers from its own
-/// table base.
-void Avx2AccumulateBlockPerRow(const QuantizedForest& forest,
-                               size_t tree_begin, size_t tree_end,
-                               const float* plane, size_t stride, size_t n,
-                               const double* const* tables, double* acc);
-
-/// cols[i] = leaf column of plane row i in tree t (n <= kBlockRows).
-/// Exposed for the SIMD-vs-scalar property tests.
-void Avx2LeafColumnsBlock(const QuantizedForest& forest, size_t t,
-                          const float* plane, size_t stride, size_t n,
-                          uint32_t* cols);
-
-/// Bitvector ("false-node") evaluation of the whole forest, the fast path
-/// when forest.bitvector_ready(): per 8-row group, each feature's sorted
-/// split thresholds are swept once against one gathered plane vector, and
-/// lanes whose condition is false AND the node's clear mask into the
-/// tree's leaf mask; the surviving lowest bit is exactly the leaf the
-/// descent reaches. acc[i] += w[leaf column] in increasing tree order —
-/// the same additions as the descent paths, so scores stay bit-identical.
-void Avx2BitvectorAccumulateBlock(const QuantizedForest& forest,
-                                  const float* plane, size_t stride,
-                                  size_t n, const double* w, double* acc);
-
-/// Per-row weight-table variant of the bitvector evaluation.
-void Avx2BitvectorAccumulateBlockPerRow(const QuantizedForest& forest,
-                                        const float* plane, size_t stride,
-                                        size_t n,
-                                        const double* const* tables,
-                                        double* acc);
-
-/// dst[c] = gbdt::QuantizeThreshold(src[c]) for c in [0, n): the vectorized
-/// batch-plane conversion (largest float <= each double). Identical results
-/// to the scalar function on every reachable input — the conditional
-/// one-ulp step toward -inf runs branch-free in the monotone integer image
-/// of the float bits. Falls back to the scalar loop on non-AVX2 builds, so
-/// this one is always safe to call.
-void Avx2QuantizeCells(const double* src, float* dst, size_t n);
+/// The simd_kernel.cc build. Reach it through KernelFor.
+const ScoringKernel& Avx2ScoringKernel();
 
 }  // namespace lightmirm::serve

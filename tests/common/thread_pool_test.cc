@@ -1,12 +1,21 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
 namespace lightmirm {
 namespace {
@@ -168,6 +177,98 @@ TEST(ThreadPoolTest, ExceptionDoesNotPoisonPool) {
   std::atomic<int> calls{0};
   pool.Apply(16, [&](size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 16);
+}
+
+// Drops the calling thread, and the threads it creates afterwards (they
+// inherit its nice value), to the lowest CPU priority, so a stress test
+// soaks up idle CPU without slowing the tests ctest runs beside it.
+void LowerThisThreadPriority() {
+#if defined(__linux__)
+  setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 19);
+#endif
+}
+
+// Regression for a stale-claim race: a worker's last claim of one batch
+// could land before the next batch reset the claim counter while its limit
+// check already saw the next batch's larger limit, so it ran a task of the
+// new batch twice — overshooting the completion count (Apply then waited
+// forever) or outliving its batch. Two caller threads each alternate
+// batches of 2 and 4 tasks on their own 3-thread pool for two seconds,
+// which oversubscribes the host and preempts workers between claim and
+// check. A hang fails the test at a deadline instead of hanging the
+// suite: the stuck callers are then detached and their pools leaked,
+// everything they touch being owned by the shared state.
+TEST(ThreadPoolTest, AlternatingBatchSizesNeverRerunAStaleClaim) {
+  struct State {
+    std::atomic<int> finished{0};
+    std::atomic<long> batches{0};
+    std::atomic<long> bad_batches{0};
+  };
+  auto state = std::make_shared<State>();
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 2; ++c) {
+    callers.emplace_back([state] {
+      LowerThisThreadPriority();
+      auto* pool = new ThreadPool(3);
+      // One long-lived task object, so a stale claim that reads an old
+      // batch's `fn` still calls valid code and shows up in `runs`.
+      struct Runs {
+        std::atomic<int> of[4] = {};
+      };
+      auto runs = std::make_shared<Runs>();
+      const std::function<void(size_t)> task = [runs](size_t t) {
+        runs->of[t].fetch_add(1, std::memory_order_relaxed);
+      };
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      for (long b = 0; std::chrono::steady_clock::now() < until; ++b) {
+        const size_t n = b % 2 == 0 ? 2 : 4;
+        for (std::atomic<int>& r : runs->of) r.store(0);
+        pool->Apply(n, task);
+        for (size_t t = 0; t < 4; ++t) {
+          if (runs->of[t].load() != (t < n ? 1 : 0)) {
+            state->bad_batches.fetch_add(1);
+            break;
+          }
+        }
+        state->batches.fetch_add(1, std::memory_order_relaxed);
+      }
+      delete pool;
+      state->finished.fetch_add(1);
+    });
+  }
+  const int want = static_cast<int>(callers.size());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (state->finished.load() < want &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  const bool hung = state->finished.load() < want;
+  for (std::thread& caller : callers) {
+    if (hung) {
+      caller.detach();
+    } else {
+      caller.join();
+    }
+  }
+  EXPECT_FALSE(hung) << "Apply hung after " << state->batches.load()
+                     << " batches";
+  EXPECT_EQ(state->bad_batches.load(), 0)
+      << "tasks ran twice or not at all in some of "
+      << state->batches.load() << " batches";
+}
+
+TEST(ThreadPoolTest, RejectsBatchesBeyondTheClaimField) {
+  for (int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    EXPECT_THROW(pool.Apply(ThreadPool::kMaxTasks + 1, [](size_t) {}),
+                 std::length_error);
+    ScopedDefaultThreads guard(threads);
+    EXPECT_THROW(ParallelForShards(0, ThreadPool::kMaxTasks + 1, 1,
+                                   [](size_t, size_t, size_t) {}),
+                 std::length_error);
+  }
 }
 
 TEST(ParallelForTest, SerialAndParallelSumsMatchBitwise) {

@@ -1,12 +1,26 @@
+// CompiledForest: the flattened layout follows gbdt::LeafEncoder, the
+// scoring kernel's tree sums over it equal the legacy sparse RowDot in
+// both kernel builds, and Build rejects malformed trees.
 #include "serve/compiled_forest.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "gbdt/leaf_encoder.h"
+#include "serve/quantized_forest.h"
+#include "serve/simd_kernel.h"
 
 namespace lightmirm::serve {
 namespace {
+
+// The scalar build, plus the AVX2 build when the CPU runs it.
+std::vector<SimdLevel> KernelLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (DetectedSimdLevel() == SimdLevel::kAvx2) {
+    levels.push_back(SimdLevel::kAvx2);
+  }
+  return levels;
+}
 
 gbdt::Booster TrainSmallBooster(Matrix* raw_out) {
   Rng rng(33);
@@ -38,16 +52,17 @@ TEST(CompiledForestTest, MatchesBoosterShape) {
 }
 
 TEST(CompiledForestTest, LeafColumnsMatchLeafEncoderLayout) {
-  Matrix raw;
-  const gbdt::Booster booster = TrainSmallBooster(&raw);
+  const gbdt::Booster booster = TrainSmallBooster(nullptr);
   const CompiledForest forest = *CompiledForest::Build(booster);
   const gbdt::LeafEncoder encoder(&booster);
-  for (size_t r = 0; r < raw.rows(); r += 37) {
-    const double* row = raw.Row(r);
-    for (size_t t = 0; t < booster.trees().size(); ++t) {
-      const int leaf = booster.trees()[t].PredictLeaf(row);
-      EXPECT_EQ(forest.LeafColumn(t, row), encoder.ColumnOf(t, leaf))
-          << "row " << r << " tree " << t;
+  for (size_t t = 0; t < booster.trees().size(); ++t) {
+    const std::vector<gbdt::TreeNode>& nodes = booster.trees()[t].nodes();
+    const size_t base = static_cast<size_t>(forest.roots()[t]);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (!nodes[i].is_leaf) continue;
+      EXPECT_EQ(forest.leaf_col()[base + i],
+                encoder.ColumnOf(t, nodes[i].leaf_ordinal))
+          << "tree " << t << " node " << i;
     }
   }
 }
@@ -56,15 +71,30 @@ TEST(CompiledForestTest, FusedDotMatchesSparseRowDot) {
   Matrix raw;
   const gbdt::Booster booster = TrainSmallBooster(&raw);
   const CompiledForest forest = *CompiledForest::Build(booster);
+  const QuantizedForest q = QuantizedForest::Build(forest);
   const gbdt::LeafEncoder encoder(&booster);
   const linear::FeatureMatrix encoded = *encoder.Encode(raw);
 
   Rng rng(7);
   std::vector<double> w(forest.num_columns() + 1);
   for (double& v : w) v = rng.Normal();
-  for (size_t r = 0; r < raw.rows(); r += 23) {
-    EXPECT_EQ(forest.FusedDot(raw.Row(r), w.data()), encoded.RowDot(r, w))
-        << "row " << r;
+  const size_t rows = raw.rows();
+  const size_t stride = q.min_feature_count();
+  const std::vector<const double*> tables(rows, w.data());
+  for (const SimdLevel level : KernelLevels()) {
+    const ScoringKernel& kernel = KernelFor(level);
+    std::vector<float> plane(rows * stride);
+    for (size_t r = 0; r < rows; ++r) {
+      kernel.quantize_cells(raw.Row(r), plane.data() + r * stride, stride);
+    }
+    std::vector<double> acc(rows, 0.0);
+    std::vector<uint32_t> masks(q.num_trees() * kGroupRows);
+    kernel.accumulate(q, plane.data(), stride, rows, tables.data(),
+                      acc.data(), masks.data());
+    for (size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(acc[r], encoded.RowDot(r, w))
+          << "row " << r << " kernel " << SimdLevelName(level);
+    }
   }
 }
 
@@ -115,9 +145,19 @@ TEST(CompiledForestTest, SingleLeafTreeMapsToItsColumn) {
       *CompiledForest::Build(BoosterFromTrees(std::move(trees)));
   EXPECT_EQ(forest.num_columns(), 2u);
   EXPECT_EQ(forest.min_feature_count(), 0u);
-  const double row[] = {0.0};
-  EXPECT_EQ(forest.LeafColumn(0, row), 0u);
-  EXPECT_EQ(forest.LeafColumn(1, row), 1u);
+  const QuantizedForest q = QuantizedForest::Build(forest);
+  const float row[] = {0.0f};
+  EXPECT_EQ(q.LeafColumn(0, row), 0u);
+  EXPECT_EQ(q.LeafColumn(1, row), 1u);
+  // The kernel reads no feature at all: each tree adds its only column.
+  const double w[] = {0.25, 0.5, 1.0};
+  const double* tables[] = {w};
+  for (const SimdLevel level : KernelLevels()) {
+    double acc = 0.0;
+    std::vector<uint32_t> masks(q.num_trees() * kGroupRows);
+    KernelFor(level).accumulate(q, row, 0, 1, tables, &acc, masks.data());
+    EXPECT_EQ(acc, 0.75) << SimdLevelName(level);
+  }
 }
 
 }  // namespace

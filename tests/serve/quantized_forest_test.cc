@@ -1,9 +1,10 @@
-// QuantizedForest + AVX2 kernel coverage: layout invariants (BFS level
-// grouping, tree tiling, interleaved kids), the tie-preserving float
+// QuantizedForest + scoring kernel coverage: the tie-preserving float
 // threshold rounding, quantized-vs-double leaf agreement on trained
-// boosters, and the randomized SIMD-vs-scalar bit-identity property test
-// over adversarial inputs (NaN / ±inf features, thresholds parked exactly
-// on float rounding boundaries).
+// boosters, the false-node table invariants, and randomized property tests
+// that drive both builds of the kernel (baseline ISA and -mavx2) against
+// the QuantizedForest::LeafColumn descent over adversarial inputs (NaN /
+// ±inf features, thresholds parked exactly on float rounding boundaries,
+// forests on both sides of the 32-leaf mask width, per-row weight tables).
 #include "serve/quantized_forest.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
+#include "gbdt/leaf_encoder.h"
 #include "gbdt/tree.h"
 #include "serve/simd_dispatch.h"
 #include "serve/simd_kernel.h"
@@ -40,79 +43,23 @@ gbdt::Booster TrainSmallBooster(Matrix* raw_out) {
   return booster;
 }
 
-// Depth of every node measured down from its tree root via the kids array.
-std::vector<int32_t> NodeDepths(const QuantizedForest& q) {
-  std::vector<int32_t> depth(q.num_nodes(), -1);
-  for (size_t t = 0; t < q.num_trees(); ++t) {
-    const int32_t root = q.roots()[t];
-    depth[static_cast<size_t>(root)] = 0;
-    // Node ids are BFS order, so one forward sweep settles children after
-    // parents.
-    const size_t end = t + 1 < q.num_trees()
-                           ? static_cast<size_t>(q.roots()[t + 1])
-                           : q.num_nodes();
-    for (size_t i = static_cast<size_t>(root); i < end; ++i) {
-      const int32_t l = q.kids()[2 * i];
-      const int32_t r = q.kids()[2 * i + 1];
-      if (static_cast<size_t>(l) == i) continue;  // leaf
-      depth[static_cast<size_t>(l)] = depth[i] + 1;
-      depth[static_cast<size_t>(r)] = depth[i] + 1;
-    }
+// The scalar build, plus the AVX2 build when the CPU runs it.
+std::vector<SimdLevel> KernelLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (DetectedSimdLevel() == SimdLevel::kAvx2) {
+    levels.push_back(SimdLevel::kAvx2);
   }
-  return depth;
+  return levels;
 }
 
 TEST(QuantizedForestTest, MatchesCompiledShapeAndColumns) {
   const gbdt::Booster booster = TrainSmallBooster(nullptr);
   const CompiledForest forest = *CompiledForest::Build(booster);
-  const QuantizedForest q = *QuantizedForest::Build(forest);
+  const QuantizedForest q = QuantizedForest::Build(forest);
   EXPECT_EQ(q.num_trees(), forest.num_trees());
   EXPECT_EQ(q.num_nodes(), forest.num_nodes());
   EXPECT_EQ(q.num_columns(), forest.num_columns());
   EXPECT_EQ(q.min_feature_count(), forest.min_feature_count());
-}
-
-TEST(QuantizedForestTest, NodesAreLevelGroupedPerTree) {
-  const gbdt::Booster booster = TrainSmallBooster(nullptr);
-  const CompiledForest forest = *CompiledForest::Build(booster);
-  const QuantizedForest q = *QuantizedForest::Build(forest);
-  const std::vector<int32_t> depth = NodeDepths(q);
-  for (size_t t = 0; t < q.num_trees(); ++t) {
-    const size_t begin = static_cast<size_t>(q.roots()[t]);
-    const size_t end = t + 1 < q.num_trees()
-                           ? static_cast<size_t>(q.roots()[t + 1])
-                           : q.num_nodes();
-    for (size_t i = begin + 1; i < end; ++i) {
-      // Monotone depth along the id order == same-depth nodes contiguous.
-      EXPECT_LE(depth[i - 1], depth[i]) << "tree " << t << " node " << i;
-    }
-    EXPECT_EQ(depth[begin], 0);
-  }
-}
-
-TEST(QuantizedForestTest, TilesPartitionTreesWithinBudget) {
-  const gbdt::Booster booster = TrainSmallBooster(nullptr);
-  const CompiledForest forest = *CompiledForest::Build(booster);
-  const QuantizedForest q = *QuantizedForest::Build(forest);
-  ASSERT_GE(q.num_tiles(), 1u);
-  EXPECT_EQ(q.tile_tree_begin(0), 0u);
-  EXPECT_EQ(q.tile_tree_end(q.num_tiles() - 1), q.num_trees());
-  constexpr size_t budget_nodes =
-      QuantizedForest::kTileNodeBytes / QuantizedForest::kBytesPerNode;
-  for (size_t k = 0; k < q.num_tiles(); ++k) {
-    EXPECT_LT(q.tile_tree_begin(k), q.tile_tree_end(k));
-    if (k > 0) EXPECT_EQ(q.tile_tree_begin(k), q.tile_tree_end(k - 1));
-    const size_t node_begin =
-        static_cast<size_t>(q.roots()[q.tile_tree_begin(k)]);
-    const size_t node_end =
-        q.tile_tree_end(k) < q.num_trees()
-            ? static_cast<size_t>(q.roots()[q.tile_tree_end(k)])
-            : q.num_nodes();
-    const size_t tile_nodes = node_end - node_begin;
-    const size_t tile_trees = q.tile_tree_end(k) - q.tile_tree_begin(k);
-    // A tile may exceed the budget only when it holds a single huge tree.
-    if (tile_trees > 1) EXPECT_LE(tile_nodes, budget_nodes) << "tile " << k;
-  }
 }
 
 TEST(QuantizeThresholdTest, FloatImageNeverExceedsDouble) {
@@ -148,7 +95,8 @@ TEST(QuantizedForestTest, ScalarLeafColumnsMatchDoublePathOnTrainedModel) {
   Matrix raw;
   const gbdt::Booster booster = TrainSmallBooster(&raw);
   const CompiledForest forest = *CompiledForest::Build(booster);
-  const QuantizedForest q = *QuantizedForest::Build(forest);
+  const QuantizedForest q = QuantizedForest::Build(forest);
+  const gbdt::LeafEncoder encoder(&booster);
   std::vector<float> row_f(raw.cols());
   for (size_t r = 0; r < raw.rows(); r += 13) {
     const double* row = raw.Row(r);
@@ -158,13 +106,14 @@ TEST(QuantizedForestTest, ScalarLeafColumnsMatchDoublePathOnTrainedModel) {
       row_f[c] = gbdt::QuantizeThreshold(row[c]);
     }
     for (size_t t = 0; t < q.num_trees(); ++t) {
-      EXPECT_EQ(q.LeafColumn(t, row_f.data()), forest.LeafColumn(t, row))
+      const int leaf = booster.trees()[t].PredictLeaf(row);
+      EXPECT_EQ(q.LeafColumn(t, row_f.data()), encoder.ColumnOf(t, leaf))
           << "row " << r << " tree " << t;
     }
   }
 }
 
-// --- Randomized SIMD-vs-scalar property test -------------------------------
+// --- Randomized kernel-vs-descent property tests ---------------------------
 
 // A random tree whose thresholds are deliberately adversarial: exact
 // floats, doubles a half-ULP off a float, and huge/tiny magnitudes.
@@ -191,11 +140,14 @@ double AdversarialThreshold(Rng* rng) {
   }
 }
 
+// Grows a subtree of at most depth_left levels; each node stops as a leaf
+// with probability stop_prob (0 grows a full tree).
 int BuildRandomSubtree(std::vector<gbdt::TreeNode>* nodes, Rng* rng,
-                       int num_features, int depth_left, int* next_ordinal) {
+                       int num_features, int depth_left, double stop_prob,
+                       int* next_ordinal) {
   const int idx = static_cast<int>(nodes->size());
   nodes->emplace_back();
-  if (depth_left == 0 || rng->Bernoulli(0.3)) {
+  if (depth_left == 0 || rng->Bernoulli(stop_prob)) {
     (*nodes)[idx].is_leaf = true;
     (*nodes)[idx].leaf_ordinal = (*next_ordinal)++;
     return idx;
@@ -204,27 +156,37 @@ int BuildRandomSubtree(std::vector<gbdt::TreeNode>* nodes, Rng* rng,
   (*nodes)[idx].feature =
       static_cast<int>(rng->UniformInt(static_cast<uint64_t>(num_features)));
   (*nodes)[idx].threshold = AdversarialThreshold(rng);
-  const int left =
-      BuildRandomSubtree(nodes, rng, num_features, depth_left - 1,
-                         next_ordinal);
-  const int right =
-      BuildRandomSubtree(nodes, rng, num_features, depth_left - 1,
-                         next_ordinal);
+  const int left = BuildRandomSubtree(nodes, rng, num_features,
+                                      depth_left - 1, stop_prob,
+                                      next_ordinal);
+  const int right = BuildRandomSubtree(nodes, rng, num_features,
+                                       depth_left - 1, stop_prob,
+                                       next_ordinal);
   (*nodes)[idx].left = left;
   (*nodes)[idx].right = right;
   return idx;
 }
 
-RandomForestSpec MakeRandomForest(Rng* rng) {
+// Trees of at most 5 levels (<= 32 leaves, so the false-node tables are
+// built). With `wide`, one tree at a random position is a full 6-level
+// tree of 64 leaves, which sends the whole forest down the LeafColumn
+// descent.
+RandomForestSpec MakeRandomForest(Rng* rng, bool wide) {
   RandomForestSpec spec;
   spec.num_features = 3 + static_cast<int>(rng->UniformInt(8));
   const size_t num_trees = 1 + rng->UniformInt(12);
+  const size_t wide_tree = wide ? rng->UniformInt(num_trees) : num_trees;
   for (size_t t = 0; t < num_trees; ++t) {
     std::vector<gbdt::TreeNode> nodes;
     int next_ordinal = 0;
-    BuildRandomSubtree(&nodes, rng, spec.num_features,
-                       3 + static_cast<int>(rng->UniformInt(4)),
-                       &next_ordinal);
+    if (t == wide_tree) {
+      BuildRandomSubtree(&nodes, rng, spec.num_features, 6, 0.0,
+                         &next_ordinal);
+    } else {
+      BuildRandomSubtree(&nodes, rng, spec.num_features,
+                         2 + static_cast<int>(rng->UniformInt(4)), 0.3,
+                         &next_ordinal);
+    }
     spec.trees.emplace_back(std::move(nodes));
   }
   return spec;
@@ -246,150 +208,108 @@ float AdversarialFeature(Rng* rng) {
   }
 }
 
+// Runs every kernel build over n plane rows with per-row `tables` and
+// asserts exact double equality with the reference: the LeafColumn
+// descent's weights summed in increasing tree order.
+void ExpectKernelsMatchDescent(const QuantizedForest& q,
+                               const std::vector<float>& plane,
+                               size_t stride, size_t n,
+                               const std::vector<const double*>& tables,
+                               const std::string& where) {
+  std::vector<double> want(n, 0.0);
+  for (size_t t = 0; t < q.num_trees(); ++t) {
+    for (size_t i = 0; i < n; ++i) {
+      want[i] += tables[i][q.LeafColumn(t, plane.data() + i * stride)];
+    }
+  }
+  std::vector<uint32_t> masks(q.num_trees() * kGroupRows);
+  for (const SimdLevel level : KernelLevels()) {
+    std::vector<double> got(n, 0.0);
+    KernelFor(level).accumulate(q, plane.data(), stride, n, tables.data(),
+                                got.data(), masks.data());
+    ASSERT_EQ(got, want) << where << " kernel " << SimdLevelName(level);
+  }
+}
+
 TEST(SimdKernelPropertyTest, SimdMatchesScalarOnRandomForests) {
-  const bool simd = DetectedSimdLevel() == SimdLevel::kAvx2;
-  if (!simd) {
-    GTEST_LOG_(INFO) << "AVX2 unavailable; scalar self-check only";
+  if (DetectedSimdLevel() != SimdLevel::kAvx2) {
+    GTEST_LOG_(INFO) << "AVX2 unavailable; scalar build only";
   }
   Rng rng(20260808);
-  constexpr size_t kRows = 43;  // not a lane-group multiple: exercises tails
-  for (int round = 0; round < 100; ++round) {
-    const RandomForestSpec spec = MakeRandomForest(&rng);
-    const gbdt::Booster booster(0.0, spec.trees);
-    const auto compiled = CompiledForest::Build(booster);
+  // Single rows, partial lane blocks, whole and partial 32-row groups.
+  const size_t kRowCounts[] = {1, 7, 8, 31, 32, 33, 63, 64, 77};
+  for (int round = 0; round < 60; ++round) {
+    const bool wide = round % 2 == 1;
+    const RandomForestSpec spec = MakeRandomForest(&rng, wide);
+    const auto compiled = CompiledForest::Build(gbdt::Booster(0.0, spec.trees));
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    const auto q = QuantizedForest::Build(*compiled);
-    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    const QuantizedForest q = QuantizedForest::Build(*compiled);
+    ASSERT_EQ(q.bitvector_ready(), !wide) << "round " << round;
 
-    const size_t stride = q->min_feature_count();
-    std::vector<float> plane(kRows * std::max<size_t>(stride, 1));
-    for (float& v : plane) v = AdversarialFeature(&rng);
-
-    // Per-tree leaf columns: vector kernel vs scalar quantized descent.
-    std::vector<uint32_t> simd_cols(kRows), scalar_cols(kRows);
-    for (size_t t = 0; t < q->num_trees(); ++t) {
-      for (size_t i = 0; i < kRows; ++i) {
-        scalar_cols[i] = q->LeafColumn(t, plane.data() + i * stride);
-      }
-      if (simd) {
-        Avx2LeafColumnsBlock(*q, t, plane.data(), stride, kRows,
-                             simd_cols.data());
-        ASSERT_EQ(simd_cols, scalar_cols) << "round " << round << " tree "
-                                          << t;
-      }
-    }
-
-    // Fused accumulation: global table and per-row tables, exact double
-    // equality against the scalar tree-order sum.
-    std::vector<double> w(q->num_columns() + 1);
+    const size_t stride = q.min_feature_count();
+    std::vector<double> w(q.num_columns() + 1);
     for (double& v : w) v = rng.Normal();
     std::vector<double> alt(w);
     for (double& v : alt) v += rng.Normal();
-    std::vector<const double*> tables(kRows);
-    for (size_t i = 0; i < kRows; ++i) {
-      tables[i] = rng.Bernoulli(0.5) ? w.data() : alt.data();
-    }
-
-    std::vector<double> want(kRows, 0.0), want_per_row(kRows, 0.0);
-    for (size_t t = 0; t < q->num_trees(); ++t) {
-      for (size_t i = 0; i < kRows; ++i) {
-        const uint32_t col = q->LeafColumn(t, plane.data() + i * stride);
-        want[i] += w[col];
-        want_per_row[i] += tables[i][col];
+    for (const size_t n : kRowCounts) {
+      std::vector<float> plane(n * stride);
+      for (float& v : plane) v = AdversarialFeature(&rng);
+      // Env overrides: each row reads the global or an override table.
+      std::vector<const double*> tables(n);
+      for (const double*& table : tables) {
+        table = rng.Bernoulli(0.5) ? w.data() : alt.data();
       }
-    }
-    if (simd) {
-      std::vector<double> got(kRows, 0.0);
-      for (size_t k = 0; k < q->num_tiles(); ++k) {
-        Avx2AccumulateBlock(*q, q->tile_tree_begin(k), q->tile_tree_end(k),
-                            plane.data(), stride, kRows, w.data(),
-                            got.data());
-      }
-      ASSERT_EQ(got, want) << "round " << round;
-      std::vector<double> got_per_row(kRows, 0.0);
-      for (size_t k = 0; k < q->num_tiles(); ++k) {
-        Avx2AccumulateBlockPerRow(*q, q->tile_tree_begin(k),
-                                  q->tile_tree_end(k), plane.data(), stride,
-                                  kRows, tables.data(), got_per_row.data());
-      }
-      ASSERT_EQ(got_per_row, want_per_row) << "round " << round;
+      ExpectKernelsMatchDescent(
+          q, plane, stride, n, tables,
+          "round " + std::to_string(round) + " rows " + std::to_string(n));
     }
   }
 }
 
-// Bitvector ("false-node") evaluation: structural invariants of the sorted
-// node tables plus exact-double-equality against the scalar descent sums,
-// over the same adversarial random forests. Trees deeper than kLeafBits
-// leaves disable the tables, so both readiness states get exercised.
+// False-node tables: structural invariants, then the sweep against the
+// descent with every row on the global table, over ready random forests.
 TEST(SimdKernelPropertyTest, BitvectorMatchesScalarOnRandomForests) {
-  const bool simd = DetectedSimdLevel() == SimdLevel::kAvx2;
   Rng rng(424242);
-  // Two 32-row wide sweeps + one 8-row group + a 5-row scalar tail.
-  constexpr size_t kRows = 77;
-  int ready_rounds = 0;
+  constexpr size_t kRows = 77;  // two whole 32-row groups + a partial one
   for (int round = 0; round < 100; ++round) {
-    const RandomForestSpec spec = MakeRandomForest(&rng);
-    const gbdt::Booster booster(0.0, spec.trees);
-    const auto compiled = CompiledForest::Build(booster);
+    const RandomForestSpec spec = MakeRandomForest(&rng, /*wide=*/false);
+    const auto compiled = CompiledForest::Build(gbdt::Booster(0.0, spec.trees));
     ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    const auto q = QuantizedForest::Build(*compiled);
-    ASSERT_TRUE(q.ok()) << q.status().ToString();
-    if (!q->bitvector_ready()) continue;
-    ++ready_rounds;
+    const QuantizedForest q = QuantizedForest::Build(*compiled);
+    ASSERT_TRUE(q.bitvector_ready()) << "round " << round;
 
     // The tables hold exactly the internal nodes, grouped by feature with
     // ascending thresholds inside each group.
     size_t internal = 0;
-    for (size_t i = 0; i < q->num_nodes(); ++i) {
-      if (q->kids()[2 * i] != static_cast<int32_t>(i)) ++internal;
+    for (size_t i = 0; i < compiled->num_nodes(); ++i) {
+      if (compiled->left()[i] != static_cast<int32_t>(i)) ++internal;
     }
-    const int32_t* begin = q->node_begin_by_feature();
-    ASSERT_EQ(static_cast<size_t>(begin[q->min_feature_count()]), internal);
-    for (size_t f = 0; f < q->min_feature_count(); ++f) {
+    const int32_t* begin = q.node_begin_by_feature();
+    ASSERT_EQ(static_cast<size_t>(begin[q.min_feature_count()]), internal);
+    for (size_t f = 0; f < q.min_feature_count(); ++f) {
       ASSERT_LE(begin[f], begin[f + 1]);
       for (int32_t j = begin[f] + 1; j < begin[f + 1]; ++j) {
-        ASSERT_LE(q->sorted_threshold()[j - 1], q->sorted_threshold()[j])
+        ASSERT_LE(q.sorted_threshold()[j - 1], q.sorted_threshold()[j])
             << "round " << round << " feature " << f;
       }
     }
 
-    if (!simd) continue;
-    const size_t stride = q->min_feature_count();
-    std::vector<float> plane(kRows * std::max<size_t>(stride, 1));
+    const size_t stride = q.min_feature_count();
+    std::vector<float> plane(kRows * stride);
     for (float& v : plane) v = AdversarialFeature(&rng);
-    std::vector<double> w(q->num_columns() + 1);
+    std::vector<double> w(q.num_columns() + 1);
     for (double& v : w) v = rng.Normal();
-    std::vector<double> alt(w);
-    for (double& v : alt) v += rng.Normal();
-    std::vector<const double*> tables(kRows);
-    for (size_t i = 0; i < kRows; ++i) {
-      tables[i] = rng.Bernoulli(0.5) ? w.data() : alt.data();
-    }
-
-    std::vector<double> want(kRows, 0.0), want_per_row(kRows, 0.0);
-    for (size_t t = 0; t < q->num_trees(); ++t) {
-      for (size_t i = 0; i < kRows; ++i) {
-        const uint32_t col = q->LeafColumn(t, plane.data() + i * stride);
-        want[i] += w[col];
-        want_per_row[i] += tables[i][col];
-      }
-    }
-    std::vector<double> got(kRows, 0.0);
-    Avx2BitvectorAccumulateBlock(*q, plane.data(), stride, kRows, w.data(),
-                                 got.data());
-    ASSERT_EQ(got, want) << "round " << round;
-    std::vector<double> got_per_row(kRows, 0.0);
-    Avx2BitvectorAccumulateBlockPerRow(*q, plane.data(), stride, kRows,
-                                       tables.data(), got_per_row.data());
-    ASSERT_EQ(got_per_row, want_per_row) << "round " << round;
+    ExpectKernelsMatchDescent(q, plane, stride, kRows,
+                              std::vector<const double*>(kRows, w.data()),
+                              "round " + std::to_string(round));
   }
-  EXPECT_GT(ready_rounds, 0);
 }
 
-// The vectorized plane conversion must reproduce gbdt::QuantizeThreshold
-// bit-for-bit on every input class the branch-free integer-image step has
-// to handle: NaN, ±inf, ±0, beyond-float-range, subnormal-range doubles,
-// and doubles one ULP off a float in either direction.
+// Both builds of the plane conversion must reproduce
+// gbdt::QuantizeThreshold bit for bit on every input class the
+// branch-free integer-image step has to handle: NaN, ±inf, ±0,
+// beyond-float-range, subnormal-range doubles, and doubles one ULP off a
+// float in either direction.
 TEST(QuantizeCellsTest, MatchesScalarOnAdversarialDoubles) {
   Rng rng(9);
   const size_t sizes[] = {0, 1, 3, 8, 13, 64, 257};
@@ -425,17 +345,20 @@ TEST(QuantizeCellsTest, MatchesScalarOnAdversarialDoubles) {
           v = rng.Normal() * std::pow(10.0, rng.Uniform(-6, 6));
       }
     }
-    std::vector<float> dst(n + 1, 42.0f);  // canary past the written range
-    Avx2QuantizeCells(src.data(), dst.data(), n);
-    for (size_t c = 0; c < n; ++c) {
-      const float want = gbdt::QuantizeThreshold(src[c]);
-      uint32_t want_bits = 0, got_bits = 0;
-      std::memcpy(&want_bits, &want, sizeof(want_bits));
-      std::memcpy(&got_bits, &dst[c], sizeof(got_bits));
-      EXPECT_EQ(got_bits, want_bits)
-          << "n " << n << " cell " << c << " src " << src[c];
+    for (const SimdLevel level : KernelLevels()) {
+      std::vector<float> dst(n + 1, 42.0f);  // canary past the written range
+      KernelFor(level).quantize_cells(src.data(), dst.data(), n);
+      for (size_t c = 0; c < n; ++c) {
+        const float want = gbdt::QuantizeThreshold(src[c]);
+        uint32_t want_bits = 0, got_bits = 0;
+        std::memcpy(&want_bits, &want, sizeof(want_bits));
+        std::memcpy(&got_bits, &dst[c], sizeof(got_bits));
+        EXPECT_EQ(got_bits, want_bits) << "n " << n << " cell " << c
+                                       << " src " << src[c] << " kernel "
+                                       << SimdLevelName(level);
+      }
+      EXPECT_EQ(dst[n], 42.0f) << "n " << n;
     }
-    EXPECT_EQ(dst[n], 42.0f) << "n " << n;
   }
 }
 

@@ -1,9 +1,8 @@
-// Resolution order of the kernel-tier environment controls: the explicit
-// LIGHTMIRM_SIMD_LEVEL wins, the legacy LIGHTMIRM_FORCE_SCALAR only
-// applies when the new variable is unset or "auto", requested tiers clamp
-// to what the build + CPU detected, and unrecognized values behave like
-// "auto". ResolveSimdLevel is pure, so every combination is testable
-// without touching the process environment.
+// Resolution of the kernel-tier environment control: LIGHTMIRM_SIMD_LEVEL
+// pins a tier, requested tiers clamp to what the build + CPU detected, and
+// "auto", unset and unrecognized values use detection. ResolveSimdLevel is
+// pure, so every case is testable without touching the process
+// environment.
 #include <gtest/gtest.h>
 
 #include "serve/simd_dispatch.h"
@@ -12,65 +11,39 @@ namespace lightmirm::serve {
 namespace {
 
 TEST(SimdDispatchTest, NothingSetUsesDetection) {
-  EXPECT_EQ(ResolveSimdLevel(nullptr, nullptr, SimdLevel::kScalar),
+  EXPECT_EQ(ResolveSimdLevel(nullptr, SimdLevel::kScalar),
             SimdLevel::kScalar);
-  EXPECT_EQ(ResolveSimdLevel(nullptr, nullptr, SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
-  // Empty strings count as unset (an `export VAR=` shell artifact).
-  EXPECT_EQ(ResolveSimdLevel("", "", SimdLevel::kAvx2), SimdLevel::kAvx2);
+  EXPECT_EQ(ResolveSimdLevel(nullptr, SimdLevel::kAvx2), SimdLevel::kAvx2);
+  // An empty string counts as unset (an `export VAR=` shell artifact).
+  EXPECT_EQ(ResolveSimdLevel("", SimdLevel::kAvx2), SimdLevel::kAvx2);
 }
 
 TEST(SimdDispatchTest, ExplicitScalarPinsScalar) {
-  EXPECT_EQ(ResolveSimdLevel("scalar", nullptr, SimdLevel::kAvx2),
+  EXPECT_EQ(ResolveSimdLevel("scalar", SimdLevel::kAvx2),
             SimdLevel::kScalar);
-  // ...even when the legacy variable says nothing or disagrees.
-  EXPECT_EQ(ResolveSimdLevel("scalar", "0", SimdLevel::kAvx2),
+  EXPECT_EQ(ResolveSimdLevel("scalar", SimdLevel::kScalar),
             SimdLevel::kScalar);
 }
 
 TEST(SimdDispatchTest, ExplicitAvx2ClampsToDetection) {
-  EXPECT_EQ(ResolveSimdLevel("avx2", nullptr, SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
+  EXPECT_EQ(ResolveSimdLevel("avx2", SimdLevel::kAvx2), SimdLevel::kAvx2);
   // A machine (or build) without the kernel cannot be forced onto it.
-  EXPECT_EQ(ResolveSimdLevel("avx2", nullptr, SimdLevel::kScalar),
+  EXPECT_EQ(ResolveSimdLevel("avx2", SimdLevel::kScalar),
             SimdLevel::kScalar);
 }
 
-TEST(SimdDispatchTest, ExplicitTierBeatsLegacyForceScalar) {
-  EXPECT_EQ(ResolveSimdLevel("avx2", "1", SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
-}
-
-TEST(SimdDispatchTest, AutoDefersToLegacyThenDetection) {
-  EXPECT_EQ(ResolveSimdLevel("auto", nullptr, SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
-  EXPECT_EQ(ResolveSimdLevel("auto", "1", SimdLevel::kAvx2),
+TEST(SimdDispatchTest, AutoUsesDetection) {
+  EXPECT_EQ(ResolveSimdLevel("auto", SimdLevel::kAvx2), SimdLevel::kAvx2);
+  EXPECT_EQ(ResolveSimdLevel("auto", SimdLevel::kScalar),
             SimdLevel::kScalar);
-  EXPECT_EQ(ResolveSimdLevel("auto", "0", SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
-}
-
-TEST(SimdDispatchTest, LegacyForceScalarStillHonored) {
-  EXPECT_EQ(ResolveSimdLevel(nullptr, "1", SimdLevel::kAvx2),
-            SimdLevel::kScalar);
-  // Any non-empty value other than "0" forces scalar (historical
-  // contract).
-  EXPECT_EQ(ResolveSimdLevel(nullptr, "yes", SimdLevel::kAvx2),
-            SimdLevel::kScalar);
-  EXPECT_EQ(ResolveSimdLevel(nullptr, "0", SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
-  EXPECT_EQ(ResolveSimdLevel(nullptr, "", SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
 }
 
 TEST(SimdDispatchTest, UnknownValueFallsThroughLikeAuto) {
-  EXPECT_EQ(ResolveSimdLevel("turbo", nullptr, SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
-  EXPECT_EQ(ResolveSimdLevel("turbo", "1", SimdLevel::kAvx2),
+  EXPECT_EQ(ResolveSimdLevel("turbo", SimdLevel::kAvx2), SimdLevel::kAvx2);
+  EXPECT_EQ(ResolveSimdLevel("turbo", SimdLevel::kScalar),
             SimdLevel::kScalar);
   // Case matters: the documented values are lowercase.
-  EXPECT_EQ(ResolveSimdLevel("SCALAR", nullptr, SimdLevel::kAvx2),
-            SimdLevel::kAvx2);
+  EXPECT_EQ(ResolveSimdLevel("SCALAR", SimdLevel::kAvx2), SimdLevel::kAvx2);
 }
 
 TEST(SimdDispatchTest, ActiveLevelNeverExceedsDetection) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "metrics/roc.h"
@@ -102,17 +103,25 @@ TEST(LightMirmTrainerTest, MuchCheaperThanCompleteMetaIrm) {
   // Count loss-kernel work via the step timer: the meta-loss step of
   // complete meta-IRM scales with M-1 sampled envs per task, LightMIRM
   // with 1 — so its meta-loss time must be well below meta-IRM's.
+  // The fastest of three fits on each side, so one preemption of a
+  // millisecond-scale fit on a loaded host cannot decide the comparison.
   const auto p = MakeIrmProblem(std::vector<double>(10, 0.7), 300, 4);
   const TrainData data = p.Data();
   TrainerOptions options = FastOptions();
   options.epochs = 15;
-  StepTimer meta_timer, light_timer;
-  options.timer = &meta_timer;
-  (void)*MetaIrmTrainer(options, MetaIrmOptions{}).Fit(data);
-  options.timer = &light_timer;
-  (void)*LightMirmTrainer(options, LightMirmOptions{}).Fit(data);
-  EXPECT_LT(light_timer.TotalSeconds(kStepMetaLosses) * 3.0,
-            meta_timer.TotalSeconds(kStepMetaLosses));
+  double meta_seconds = 1e300, light_seconds = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    StepTimer meta_timer, light_timer;
+    options.timer = &meta_timer;
+    (void)*MetaIrmTrainer(options, MetaIrmOptions{}).Fit(data);
+    options.timer = &light_timer;
+    (void)*LightMirmTrainer(options, LightMirmOptions{}).Fit(data);
+    meta_seconds =
+        std::min(meta_seconds, meta_timer.TotalSeconds(kStepMetaLosses));
+    light_seconds =
+        std::min(light_seconds, light_timer.TotalSeconds(kStepMetaLosses));
+  }
+  EXPECT_LT(light_seconds * 3.0, meta_seconds);
 }
 
 TEST(LightMirmTrainerTest, RejectsBadConfig) {
