@@ -162,7 +162,9 @@ Status DecodeByteStream(const uint8_t* bytes, size_t size, size_t* pos,
   const uint8_t mode = bytes[(*pos)++];
   uint64_t payload = 0;
   LIGHTMIRM_RETURN_NOT_OK(ReadVarint(bytes, size, pos, &payload));
-  if (*pos + payload > size) {
+  // Length checks subtract from the known-good side: an untrusted count
+  // added to a position can wrap past any limit.
+  if (payload > size - *pos) {
     return Status::IoError("byte stream payload truncated");
   }
   const uint8_t* p = bytes + *pos;
@@ -172,7 +174,7 @@ Status DecodeByteStream(const uint8_t* bytes, size_t size, size_t* pos,
       if (payload != n) {
         return Status::IoError("raw byte stream has wrong length");
       }
-      std::memcpy(out, p, n);
+      if (n != 0) std::memcpy(out, p, n);  // out may be null when n == 0
       return Status::OK();
     }
     case kStreamRle: {
@@ -185,7 +187,7 @@ Status DecodeByteStream(const uint8_t* bytes, size_t size, size_t* pos,
         const uint8_t value = p[at++];
         uint64_t run = 0;
         LIGHTMIRM_RETURN_NOT_OK(ReadVarint(p, payload, &at, &run));
-        if (run == 0 || produced + run > n) {
+        if (run == 0 || run > n - produced) {
           return Status::IoError("RLE byte stream has malformed run");
         }
         std::memset(out + produced, value, run);
@@ -428,7 +430,7 @@ Status DecodeRleDictionary(const uint8_t* bytes, size_t size, size_t n,
       uint64_t index = 0, run = 0;
       LIGHTMIRM_RETURN_NOT_OK(ReadVarint(bytes, size, &pos, &index));
       LIGHTMIRM_RETURN_NOT_OK(ReadVarint(bytes, size, &pos, &run));
-      if (index >= dict_size || run == 0 || produced + run > n) {
+      if (index >= dict_size || run == 0 || run > n - produced) {
         return Status::IoError("dictionary RLE run malformed");
       }
       for (uint64_t i = 0; i < run; ++i) out[produced++] = symbols[index];
@@ -522,7 +524,7 @@ Status DecodeDoubleDictionary(const uint8_t* bytes, size_t size, size_t n,
   size_t pos = 0;
   uint64_t dict_size = 0;
   LIGHTMIRM_RETURN_NOT_OK(ReadVarint(bytes, size, &pos, &dict_size));
-  if (pos + dict_size * 8 > size) {
+  if (dict_size > (size - pos) / sizeof(double)) {
     return Status::IoError("double dictionary truncated");
   }
   std::vector<double> symbols(dict_size);

@@ -123,7 +123,7 @@ Status ParseColumnHeader(const uint8_t* body, size_t size, size_t* pos,
                 sizeof(double));
     *pos += 2 * sizeof(double);
   }
-  if (*pos + payload > size) {
+  if (payload > size - *pos) {  // never *pos + payload: it can wrap
     return Status::IoError("chunk body truncated inside column payload");
   }
   header->payload_begin = *pos;

@@ -1,6 +1,5 @@
 #include "serve/service/dispatcher.h"
 
-#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -10,13 +9,6 @@
 
 namespace lightmirm::serve {
 namespace {
-
-uint64_t ToNanos(std::chrono::steady_clock::time_point tp) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          tp.time_since_epoch())
-          .count());
-}
 
 // SplitMix64 finalizer: a fixed, platform-independent avalanche of the
 // loan id. std::hash would be both implementation-defined (libstdc++
@@ -37,13 +29,14 @@ struct BatchDispatcher::PendingRequest {
   std::mutex mu;      ///< guards status + stamps
   Status status;      ///< first shard error wins
   CompletionFn done;
-  /// Lifecycle tracing (id != 0 iff the request is tracked). `enqueue_ns`
-  /// is written under the shard locks before they release, so every later
-  /// stage stamp — taken by code that re-acquires a shard lock — orders
-  /// after it on the monotonic clock.
+  /// `enqueue_ns` is written under the shard locks before they release,
+  /// so every later stage stamp — taken by code that re-acquires a shard
+  /// lock — orders after it on the monotonic clock. A flush reads its
+  /// oldest row's stamp as the batch's queue wait. Lifecycle tracing:
+  /// id != 0 iff the request is tracked.
+  uint64_t enqueue_ns = 0;
   uint64_t id = 0;
   uint64_t admit_ns = 0;
-  uint64_t enqueue_ns = 0;
   std::vector<ShardStageStamps> stamps;  ///< one per involved shard
 };
 
@@ -52,7 +45,7 @@ size_t BatchDispatcher::ShardOf(int64_t loan_id) const {
 }
 
 Result<std::unique_ptr<BatchDispatcher>> BatchDispatcher::Create(
-    DispatcherOptions options, ShardScoreFn score_fn) {
+    DispatcherOptions options, ShardScoreFn score_fn, IdleHook idle_hook) {
   if (score_fn == nullptr) {
     return Status::InvalidArgument("dispatcher needs a shard score fn");
   }
@@ -62,25 +55,19 @@ Result<std::unique_ptr<BatchDispatcher>> BatchDispatcher::Create(
   if (options.feature_width == 0) {
     return Status::InvalidArgument("feature_width must be positive");
   }
-  if (options.max_batch_rows == 0) {
-    return Status::InvalidArgument("max_batch_rows must be positive");
-  }
-  if (options.max_pending_rows < options.max_batch_rows) {
-    return Status::InvalidArgument(
-        "max_pending_rows must be >= max_batch_rows");
-  }
-  if (options.max_delay.count() <= 0) {
-    return Status::InvalidArgument("max_delay must be positive");
+  if (options.max_pending_rows == 0) {
+    return Status::InvalidArgument("max_pending_rows must be positive");
   }
   if (options.score_threads <= 0) options.score_threads = DefaultThreads();
-  return std::unique_ptr<BatchDispatcher>(
-      new BatchDispatcher(std::move(options), std::move(score_fn)));
+  return std::unique_ptr<BatchDispatcher>(new BatchDispatcher(
+      std::move(options), std::move(score_fn), std::move(idle_hook)));
 }
 
 BatchDispatcher::BatchDispatcher(DispatcherOptions options,
-                                 ShardScoreFn score_fn)
+                                 ShardScoreFn score_fn, IdleHook idle_hook)
     : options_(std::move(options)),
       score_fn_(std::move(score_fn)),
+      idle_hook_(std::move(idle_hook)),
       pool_(options_.score_threads) {
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
@@ -201,11 +188,9 @@ Status BatchDispatcher::Submit(ScoreRequest request, CompletionFn done) {
     pending->stamps.reserve(involved.size());
   }
 
-  const auto now = std::chrono::steady_clock::now();
-  if (tracked) pending->enqueue_ns = ToNanos(now);
+  pending->enqueue_ns = MonotonicNanos();
   for (size_t i = 0; i < n; ++i) {
     Shard& shard = *shards_[shard_of[i]];
-    if (shard.batch.rows == 0) shard.oldest = now;
     const double* row = request.features.data() + i * options_.feature_width;
     shard.batch.features.insert(shard.batch.features.end(), row,
                                 row + options_.feature_width);
@@ -229,8 +214,8 @@ Status BatchDispatcher::Submit(ScoreRequest request, CompletionFn done) {
     ++stats_.requests;
     stats_.rows += n;
   }
-  // Wake the dispatcher so it flushes (size trigger) or re-arms its
-  // deadline timer for the rows that just arrived. The seq bump is what
+  // Wake the dispatcher so an idle one flushes the rows that just arrived
+  // (a busy one picks them up when its cycle ends). The seq bump is what
   // makes this race-free: a dispatcher that scanned the shards before the
   // append sees the moved seq and rescans instead of sleeping, even if
   // this notify fires in the window between its scan and its wait.
@@ -285,55 +270,31 @@ DispatcherStats BatchDispatcher::stats() const {
 }
 
 void BatchDispatcher::DispatchLoop() {
-  using Clock = std::chrono::steady_clock;
   struct FlushRecord {
     size_t shard;
-    FlushReason reason;
     size_t rows;
     double queue_wait_s;
   };
   for (;;) {
     ServiceTelemetry* const tel = options_.telemetry;
     const bool tracked = tel != nullptr && obs::TelemetryEnabled();
-    bool flush_all;
+    FlushReason reason;
     uint64_t seen_seq;
     {
       std::lock_guard<std::mutex> lock(wake_mu_);
-      flush_all = flush_requested_ || stop_;
+      reason = flush_requested_ ? FlushReason::kExplicit : FlushReason::kIdle;
       seen_seq = wake_seq_;
     }
 
-    // Scan the shards: swap out every ready batch, remember the earliest
-    // deadline among the rest.
-    const auto now = Clock::now();
-    auto next_deadline = Clock::time_point::max();
+    // No cycle is running: swap out every non-empty shard.
     std::vector<size_t> ready;
     std::vector<ShardBatch> batches;
     std::vector<std::vector<RowRef>> rows;
     std::vector<FlushRecord> flushes;
-    uint64_t size_flushes = 0, deadline_flushes = 0, explicit_flushes = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       std::lock_guard<std::mutex> shard_lock(shard.mu);
       if (shard.batch.rows == 0) continue;
-      const auto deadline = shard.oldest + options_.max_delay;
-      const bool size_ready = shard.batch.rows >= options_.max_batch_rows;
-      const bool deadline_ready = deadline <= now;
-      if (!flush_all && !size_ready && !deadline_ready) {
-        next_deadline = std::min(next_deadline, deadline);
-        continue;
-      }
-      FlushReason reason;
-      if (size_ready) {
-        ++size_flushes;
-        reason = FlushReason::kSize;
-      } else if (deadline_ready) {
-        ++deadline_flushes;
-        reason = FlushReason::kDeadline;
-      } else {
-        ++explicit_flushes;
-        reason = FlushReason::kExplicit;
-      }
       ready.push_back(s);
       batches.push_back(std::move(shard.batch));
       rows.push_back(std::move(shard.rows));
@@ -351,9 +312,9 @@ void BatchDispatcher::DispatchLoop() {
         moved.stages.batch_rows = static_cast<uint32_t>(moved.rows);
         moved.stages.flush_ns = MonotonicNanos();
         flushes.push_back(FlushRecord{
-            s, reason, moved.rows,
+            s, moved.rows,
             static_cast<double>(moved.stages.flush_ns -
-                                ToNanos(shard.oldest)) *
+                                rows.back().front().request->enqueue_ns) *
                 1e-9});
         tel->OnShardQueue(s, 0);
       }
@@ -362,14 +323,15 @@ void BatchDispatcher::DispatchLoop() {
     if (!ready.empty()) {
       if (tracked) {
         for (const FlushRecord& f : flushes) {
-          tel->OnFlush(f.shard, f.reason, f.rows, f.queue_wait_s);
+          tel->OnFlush(f.shard, reason, f.rows, f.queue_wait_s);
         }
       }
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.size_flushes += size_flushes;
-        stats_.deadline_flushes += deadline_flushes;
-        stats_.explicit_flushes += explicit_flushes;
+        uint64_t& counter = reason == FlushReason::kIdle
+                                ? stats_.idle_flushes
+                                : stats_.explicit_flushes;
+        counter += ready.size();
       }
       uint64_t scored = 0;
       for (const ShardBatch& batch : batches) scored += batch.rows;
@@ -385,9 +347,10 @@ void BatchDispatcher::DispatchLoop() {
         if (tracked) tel->OnPendingRows(pending_rows_total_);
       }
       idle_cv_.notify_all();
-      continue;  // rescan immediately: more shards may have filled up
+      continue;  // rescan: rows that arrived during the cycle go next
     }
 
+    if (idle_hook_) idle_hook_(*this);
     std::unique_lock<std::mutex> lock(wake_mu_);
     if (pending_rows_total_ == 0) {
       if (flush_requested_) {
@@ -396,18 +359,13 @@ void BatchDispatcher::DispatchLoop() {
       }
       if (stop_) return;
     }
-    // Nothing ready: sleep to the earliest pending deadline (or until new
-    // work / a shed / a flush / stop wakes us). The predicate re-checks
-    // wake_seq_ under wake_mu_ before blocking, so an event that landed
-    // after the shard scan — rows appended by an in-flight Submit, a shed
-    // zeroing the pending total a Flush waits on — forces an immediate
-    // rescan instead of an indefinite wait whose notify already fired.
-    const auto woken = [&] { return wake_seq_ != seen_seq; };
-    if (next_deadline == Clock::time_point::max()) {
-      wake_cv_.wait(lock, woken);
-    } else {
-      wake_cv_.wait_until(lock, next_deadline, woken);
-    }
+    // Every shard was empty: sleep until new work, a shed, a flush or stop
+    // wakes us. The predicate re-checks wake_seq_ under wake_mu_ before
+    // blocking, so an event that landed after the shard scan — rows
+    // appended by an in-flight Submit, a shed zeroing the pending total a
+    // Flush waits on — forces an immediate rescan instead of an
+    // indefinite wait whose notify already fired.
+    wake_cv_.wait(lock, [&] { return wake_seq_ != seen_seq; });
   }
 }
 

@@ -1,11 +1,13 @@
 // BatchDispatcher: the batching front door of the sharded scoring service
 // (serve/service/sharded_service.h). Callers Submit() small requests —
 // each a handful of loans with features — and the dispatcher partitions
-// their rows across N worker shards by loan-id hash, accumulates each
-// shard's rows into a batch, and flushes a shard when its batch reaches
-// `max_batch_rows` (size trigger) or its oldest pending row has waited
-// `max_delay` (deadline trigger). Flushed shard batches score concurrently
-// on a private ThreadPool, one task per shard; the scoring callback is
+// their rows across N worker shards by loan-id hash and accumulates each
+// shard's rows into a batch. Batching is work-conserving: whenever no
+// flush cycle is running, the dispatcher flushes every non-empty shard at
+// once, and rows that arrive during a cycle coalesce into the next one
+// (Clipper's adaptive batching, NSDI '17). Batches grow with load, never
+// by waiting on a clock. Flushed shard batches score concurrently on a
+// private ThreadPool, one task per shard; the scoring callback is
 // supplied by the owner (the service snapshots the shard's registry,
 // scores on that version, and feeds the shard monitor), so the dispatcher
 // itself knows nothing about models.
@@ -31,13 +33,13 @@
 //    Submit (no dispatcher locks are held) but must not block on Flush.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -99,14 +101,9 @@ struct DispatcherOptions {
   /// Row width every request must match (the serving schema is fixed per
   /// deployed model generation).
   size_t feature_width = 0;
-  /// Size trigger: a shard flushes as soon as it holds this many rows.
-  size_t max_batch_rows = 256;
   /// Shed trigger: Submit returns ResourceExhausted when a shard would
-  /// exceed this many pending rows (must be >= max_batch_rows).
+  /// exceed this many pending rows (must be positive).
   size_t max_pending_rows = 4096;
-  /// Deadline trigger: a non-empty shard flushes when its oldest row has
-  /// waited this long, so trickle traffic is never stranded.
-  std::chrono::microseconds max_delay{2000};
   /// Scoring pool width; <= 0 uses DefaultThreads(). Shard batches score
   /// one pool task per shard (nested session parallelism runs inline on a
   /// pool worker), so this bounds cross-shard scoring concurrency.
@@ -125,9 +122,12 @@ struct DispatcherStats {
   uint64_t requests = 0;        ///< accepted requests
   uint64_t rows = 0;            ///< accepted rows
   uint64_t shed_requests = 0;   ///< rejected with ResourceExhausted
-  uint64_t size_flushes = 0;    ///< shard flushes triggered by batch size
-  uint64_t deadline_flushes = 0;///< shard flushes triggered by max_delay
-  uint64_t explicit_flushes = 0;///< shard flushes triggered by Flush()
+  uint64_t idle_flushes = 0;    ///< shard flushes of an idle dispatcher
+  uint64_t explicit_flushes = 0;///< shard flushes while Flush() waits
+  /// Always 0: the size and deadline triggers are gone. Kept only because
+  /// the benchmark runner (perfbench/runner/workloads.cc) reads them.
+  uint64_t size_flushes = 0;
+  uint64_t deadline_flushes = 0;
 };
 
 class BatchDispatcher {
@@ -136,7 +136,9 @@ class BatchDispatcher {
 
   /// Validates options and starts the dispatcher thread + scoring pool.
   static Result<std::unique_ptr<BatchDispatcher>> Create(
-      DispatcherOptions options, ShardScoreFn score_fn);
+      DispatcherOptions options, ShardScoreFn score_fn) {
+    return Create(std::move(options), std::move(score_fn), nullptr);
+  }
 
   /// Stops the dispatcher thread. Pending rows are flushed and completed
   /// first, so no callback is ever dropped.
@@ -179,10 +181,19 @@ class BatchDispatcher {
     std::mutex mu;
     ShardBatch batch;
     std::vector<RowRef> rows;
-    std::chrono::steady_clock::time_point oldest;  ///< first row's arrival
   };
 
-  BatchDispatcher(DispatcherOptions options, ShardScoreFn score_fn);
+  /// Test seam, reached only through the DispatcherTestPeer friend: runs
+  /// on the dispatcher thread each time a scan finds every shard empty,
+  /// just before the loop waits — the window a lost wakeup would strand
+  /// rows in.
+  using IdleHook = std::function<void(BatchDispatcher&)>;
+  friend class DispatcherTestPeer;
+
+  static Result<std::unique_ptr<BatchDispatcher>> Create(
+      DispatcherOptions options, ShardScoreFn score_fn, IdleHook idle_hook);
+  BatchDispatcher(DispatcherOptions options, ShardScoreFn score_fn,
+                  IdleHook idle_hook);
 
   void DispatchLoop();
   /// Runs one flush cycle over `ready` shard indices (batches already
@@ -193,6 +204,7 @@ class BatchDispatcher {
 
   DispatcherOptions options_;
   ShardScoreFn score_fn_;
+  IdleHook idle_hook_;
   std::vector<std::unique_ptr<Shard>> shards_;
   ThreadPool pool_;
 

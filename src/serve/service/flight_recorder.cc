@@ -46,12 +46,19 @@ void FlightRecorder::Record(ServiceEventType type, uint32_t shard,
                             uint64_t a, uint64_t b) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed) + 1;
   Slot& slot = slots_[(ticket - 1) & mask_];
-  // Per-slot seqlock write: park the sequence so a concurrent reader
-  // discards the slot, store the fields, publish the ticket. A lapped
-  // writer (two threads `capacity` tickets apart on the same slot) can
-  // interleave field stores; the last seq publisher wins and a reader
-  // that catches the mix sees seq != its first read and drops the slot.
-  slot.seq.store(kBusy, std::memory_order_release);
+  // Per-slot seqlock write. Claim the slot first: two writers `capacity`
+  // tickets apart share it, and interleaved field stores would publish a
+  // torn event under a stable sequence. No writer waits: one that finds
+  // the slot busy or holding a newer event, or loses the claim, drops its
+  // event. The release fence keeps the field stores from becoming visible
+  // before kBusy does.
+  uint64_t current = slot.seq.load(std::memory_order_relaxed);
+  if (current == kBusy || current > ticket ||
+      !slot.seq.compare_exchange_strong(current, kBusy,
+                                        std::memory_order_relaxed)) {
+    return;
+  }
+  std::atomic_thread_fence(std::memory_order_release);
   slot.ns.store(MonotonicNanos(), std::memory_order_relaxed);
   slot.type.store(static_cast<uint32_t>(type), std::memory_order_relaxed);
   slot.shard.store(shard, std::memory_order_relaxed);
@@ -75,7 +82,9 @@ std::vector<ServiceEvent> FlightRecorder::Snapshot() const {
     event.shard = slot.shard.load(std::memory_order_relaxed);
     event.a = slot.a.load(std::memory_order_relaxed);
     event.b = slot.b.load(std::memory_order_relaxed);
-    if (slot.seq.load(std::memory_order_acquire) != before) continue;
+    // The fence keeps the field loads from moving past the re-check.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     events.push_back(std::move(event));
   }
   std::sort(events.begin(), events.end(),

@@ -1,20 +1,24 @@
 // FlightRecorder: a fixed-size lock-free ring of recent service events
-// (submits, sheds, flushes, scored batches, deploys, health evaluations,
-// alerts). Producers on any thread Record() with two atomic ops plus
-// relaxed field stores — no mutex, no allocation — so the recorder can sit
-// on the Submit hot path. When the merged fleet health transitions into
-// ALERT the service dumps the ring next to the HealthSnapshot, so a page
-// arrives with its last-N-events context ("what was the service doing
-// right before this tripped") instead of a bare threshold value.
+// (submits, sheds, flushes with their reason — idle or explicit — scored
+// batches, deploys, health evaluations, alerts). Producers on any thread
+// Record() with a few atomic ops plus relaxed field stores — no mutex, no
+// allocation — so the recorder can sit on the Submit hot path. When the
+// merged fleet health transitions into ALERT the service dumps the ring
+// next to the HealthSnapshot, so a page arrives with its last-N-events
+// context ("what was the service doing right before this tripped")
+// instead of a bare threshold value.
 //
-// Each slot is a per-slot seqlock: the writer parks the slot's sequence at
-// kBusy, stores the fields, then publishes the ticket with a release
-// store; readers re-check the sequence after copying the fields and drop
-// the slot on any movement. Every slot field is an atomic, so concurrent
-// Record/Snapshot is race-free under TSan; a reader may miss slots that
-// are being overwritten mid-snapshot (they are, by construction, either
-// the oldest events in the ring or newer than the snapshot), never observe
-// a torn event.
+// Each slot is a per-slot seqlock with one writer at a time: a writer
+// claims the slot by swinging its sequence to kBusy, stores the fields,
+// then publishes its ticket with a release store; readers re-check the
+// sequence after copying the fields and drop the slot on any movement.
+// A writer lapped by `capacity` tickets that finds its slot busy or
+// already holding a newer event drops its own event instead of
+// interleaving field stores with the other writer. Every slot field is an
+// atomic, so concurrent Record/Snapshot is race-free under TSan; a reader
+// may miss slots that are being overwritten mid-snapshot (they are, by
+// construction, either the oldest events in the ring or newer than the
+// snapshot), never observe a torn event.
 #pragma once
 
 #include <atomic>
@@ -30,8 +34,8 @@ namespace lightmirm::serve {
 enum class ServiceEventType : uint32_t {
   kSubmit = 0,       ///< request accepted: a = rows, b = request id
   kShed = 1,         ///< request shed: a = rows requested, b = rows held
-  kFlush = 2,        ///< shard batch flushed: a = rows, b = reason (0 size,
-                     ///  1 deadline, 2 explicit)
+  kFlush = 2,        ///< shard batch flushed: a = rows, b = reason (0 idle,
+                     ///  1 explicit)
   kBatchScored = 3,  ///< shard batch scored: a = rows, b = duration ns
   kDeploy = 4,       ///< version activated on the shard
   kHealthEval = 5,   ///< merged evaluation: a = overall state, b = tick

@@ -4,7 +4,6 @@
 
 #include "common/matrix.h"
 #include "common/string_util.h"
-#include "obs/trace.h"
 
 namespace lightmirm::serve {
 
@@ -78,12 +77,6 @@ Result<std::unique_ptr<ShardedScoringService>> ShardedScoringService::Create(
 Status ShardedScoringService::ScoreShardBatch(size_t shard,
                                               ShardBatch& batch,
                                               std::vector<double>* scores) {
-  // Trace span per shard batch: `span.service.shard_score.seconds` in the
-  // service's registry, and a Chrome-trace event when recording is on.
-  // Inert (null registry) when lifecycle tracing is off for this batch.
-  obs::TraceSpan span(
-      batch.collect_stages ? telemetry_->registry() : nullptr,
-      "service.shard_score");
   // One registry snapshot per batch: a concurrent Deploy never splits a
   // batch across versions, and the version (with its monitor) stays alive
   // for the whole batch even if it is retired and evicted mid-flight.

@@ -5,8 +5,10 @@
 // batch to that version's own ModelHealthMonitor — so every shard carries
 // an independent sliding-window view of its slice of the traffic. A
 // BatchDispatcher (serve/service/dispatcher.h) fronts the shards:
-// requests accumulate into per-shard batches and flush on size or
-// deadline, scoring concurrently across shards on a private pool.
+// requests accumulate into per-shard batches that flush whenever the
+// dispatcher is idle — no batching deadline, so a lone request scores at
+// once and a burst coalesces behind the running cycle — scoring
+// concurrently across shards on a private pool.
 //
 // Global health is a snapshot merge, not a shared window: EvaluateHealth
 // copies every shard monitor's O(bins) window aggregates, bin-wise-sums

@@ -49,8 +49,8 @@ ServiceTelemetry::ServiceTelemetry(ServiceTelemetryOptions options)
     ShardHandles& h = per_shard_[s];
     h.queue_rows = r.GetGauge("service.shard.queue_rows", shard);
     h.shed_requests = r.GetCounter("service.shed.requests", shard);
-    static const char* kReasons[3] = {"size", "deadline", "explicit"};
-    for (size_t reason = 0; reason < 3; ++reason) {
+    static const char* kReasons[2] = {"idle", "explicit"};
+    for (size_t reason = 0; reason < 2; ++reason) {
       h.flush_reason[reason] = r.GetCounter(
           "service.flushes",
           {{"shard", StrFormat("%zu", s)}, {"reason", kReasons[reason]}});
@@ -99,7 +99,7 @@ void ServiceTelemetry::OnFlush(size_t shard, FlushReason reason,
                                size_t batch_rows, double queue_wait_s) {
   if (shard >= per_shard_.size()) return;
   ShardHandles& h = per_shard_[shard];
-  h.flush_reason[static_cast<uint32_t>(reason) % 3]->Increment();
+  h.flush_reason[static_cast<uint32_t>(reason) % 2]->Increment();
   h.batch_rows->Record(static_cast<double>(batch_rows));
   h.queue_wait_seconds->Record(queue_wait_s);
   stage_queue_wait_->Record(queue_wait_s);

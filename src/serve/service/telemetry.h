@@ -7,8 +7,9 @@
 // recording on the hot path is pure atomic updates, never a registry name
 // resolution. The dispatcher and service call the On* hooks; every hook
 // is cheap enough for the Submit path and all of them no-op the histogram
-// work when obs::TelemetryEnabled() is off (the <2% bench_service gate
-// measures exactly that switch).
+// work when obs::TelemetryEnabled() is off. bench_service's telemetry leg
+// measures exactly that switch against a 2% budget; the lifecycle
+// currently costs more than that (README "Watching the service").
 #pragma once
 
 #include <atomic>
@@ -33,8 +34,9 @@ struct ServiceTelemetryOptions {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-/// Why a shard batch flushed.
-enum class FlushReason : uint32_t { kSize = 0, kDeadline = 1, kExplicit = 2 };
+/// Why a shard batch flushed: the dispatcher was idle (it flushes every
+/// non-empty shard whenever no cycle runs), or a Flush() call was waiting.
+enum class FlushReason : uint32_t { kIdle = 0, kExplicit = 1 };
 
 class ServiceTelemetry {
  public:
@@ -84,7 +86,7 @@ class ServiceTelemetry {
   struct ShardHandles {
     obs::Gauge* queue_rows = nullptr;
     obs::Counter* shed_requests = nullptr;
-    obs::Counter* flush_reason[3] = {nullptr, nullptr, nullptr};
+    obs::Counter* flush_reason[2] = {nullptr, nullptr};
     obs::Histogram* batch_rows = nullptr;
     obs::Histogram* queue_wait_seconds = nullptr;
     obs::Histogram* batch_form_seconds = nullptr;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -384,6 +385,86 @@ TEST(CodecTest, TruncatedPayloadsError) {
   EXPECT_FALSE(DecodeServingGrid(bytes.data(), bytes.size() / 2,
                                  doubles.size(), grid, dout.data())
                    .ok());
+}
+
+// --- Length fields that would wrap a `pos + length > limit` check --------
+// Each input below carries an untrusted length or count chosen so the sum
+// wraps past 2^64. The decoder must turn it into a Status error.
+
+// varint(2^64 - 1): nine 0xff continuation bytes, then 0x01.
+std::vector<uint8_t> MaxVarint() {
+  std::vector<uint8_t> bytes(9, 0xff);
+  bytes.push_back(0x01);
+  return bytes;
+}
+
+std::vector<uint8_t> Concat(
+    std::initializer_list<std::vector<uint8_t>> parts) {
+  std::vector<uint8_t> out;
+  for (const std::vector<uint8_t>& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
+}
+
+TEST(CodecTest, ByteStreamPayloadLengthCannotWrap) {
+  double out = 0.0;
+  // Split stream 0 (RLE mode) claims a 2^64-1 byte payload. Wrapped, the
+  // length check passed and the cursor stepped back onto the varint's last
+  // byte, so the remaining seven streams parsed cleanly out of the same
+  // bytes and the corrupt column decoded as OK.
+  std::vector<uint8_t> rewinds =
+      Concat({{0x01}, MaxVarint(), {0x02, 0x01, 0x01}});
+  for (int s = 2; s < 8; ++s) {
+    rewinds.insert(rewinds.end(), {0x01, 0x02, 0x00, 0x01});
+  }
+  const Status rewind =
+      DecodeByteStreamSplit(rewinds.data(), rewinds.size(), 1, &out);
+  EXPECT_EQ(rewind.code(), StatusCode::kIoError) << rewind.ToString();
+  // The 13-byte form: the RLE run varint continues past the buffer
+  // (a heap-buffer-overflow under ASan).
+  const std::vector<uint8_t> overruns =
+      Concat({{0x01}, MaxVarint(), {0x00, 0x81}});
+  ASSERT_EQ(overruns.size(), 13u);
+  const Status overrun =
+      DecodeByteStreamSplit(overruns.data(), overruns.size(), 1, &out);
+  EXPECT_EQ(overrun.code(), StatusCode::kIoError) << overrun.ToString();
+}
+
+TEST(CodecTest, ByteStreamRleRunCannotWrap) {
+  // One RLE stream for a 2-row column: a run of 1, then a run of 2^64-1.
+  // Wrapped, `produced + run` was 0 and the memset ran off the column.
+  const std::vector<uint8_t> runs = Concat({{0x07, 0x01, 0x07}, MaxVarint()});
+  const std::vector<uint8_t> bytes =
+      Concat({{0x01, static_cast<uint8_t>(runs.size())}, runs});
+  double out[2] = {0.0, 0.0};
+  const Status status =
+      DecodeByteStreamSplit(bytes.data(), bytes.size(), 2, out);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST(CodecTest, RleDictionaryRunCannotWrap) {
+  // 16 bytes: one symbol (0), RLE index mode, a run of 1 and a run of
+  // 2^64-1. Wrapped, the second run wrote past the 2-row column.
+  const std::vector<uint8_t> bytes =
+      Concat({{0x01, 0x00, 0x00, 0x00, 0x01, 0x00}, MaxVarint()});
+  ASSERT_EQ(bytes.size(), 16u);
+  int64_t out[2] = {0, 0};
+  const Status status =
+      DecodeRleDictionary(bytes.data(), bytes.size(), 2, out);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
+}
+
+TEST(CodecTest, DoubleDictionarySizeCannotWrap) {
+  // 9 bytes: a dictionary of 2^61 doubles. 2^61 * 8 wraps to 0, so the
+  // size check passed and the symbol table allocation threw
+  // std::length_error through the Status API.
+  std::vector<uint8_t> bytes(8, 0x80);
+  bytes.push_back(0x20);  // bit 61
+  double out = 0.0;
+  const Status status =
+      DecodeDoubleDictionary(bytes.data(), bytes.size(), 1, &out);
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
 }
 
 }  // namespace

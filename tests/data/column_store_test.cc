@@ -316,5 +316,40 @@ TEST(ColumnStoreTest, ReaderRejectsMalformedFiles) {
   EXPECT_FALSE(ColumnStoreReader::Open(file.path()).ok());
 }
 
+TEST(ColumnStoreTest, ColumnPayloadLengthCannotWrap) {
+  // A hand-built store: no features, one 1-row chunk whose first int
+  // column claims a 2^64-1 byte payload. Wrapped, the header check passed
+  // and the cursor stepped back onto the varint's last byte, which then
+  // parsed as the next column's header, so the corrupt chunk read as OK.
+  const std::vector<uint8_t> body = {
+      0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+      0x02, 0x00, 0x00,        // the payload both "columns" read from
+      0x01, 0x02, 0x00, 0x00,  // years
+      0x01, 0x02, 0x00, 0x00,  // halves
+  };
+  const std::vector<uint8_t> header = {
+      'L', 'M', 'C', 'S', 0x01, 0x00,
+      0x00,                                            // features
+      0x00,                                            // environments
+      0x01,                                            // chunk rows
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // chunk stats
+      static_cast<uint8_t>(body.size()),
+  };
+  TempFile path("column_store_wrapping_payload.lmcs");
+  {
+    std::ofstream out(path.path(), std::ios::binary);
+    for (const std::vector<uint8_t>* part : {&header, &body}) {
+      out.write(reinterpret_cast<const char*>(part->data()),
+                static_cast<std::streamsize>(part->size()));
+    }
+    out.put(0x00);  // end marker
+  }
+  auto reader = ColumnStoreReader::Open(path.path());
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  const auto chunk = reader->ReadChunk(0);
+  ASSERT_FALSE(chunk.ok());
+  EXPECT_EQ(chunk.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace lightmirm::data

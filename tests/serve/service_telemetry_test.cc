@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -30,8 +29,6 @@
 
 namespace lightmirm::serve {
 namespace {
-
-constexpr auto kNever = std::chrono::microseconds(30'000'000);
 
 // --- FlightRecorder ------------------------------------------------------
 
@@ -272,7 +269,6 @@ TEST(ServiceTelemetryTest, LifecycleMetricsPopulateThroughRealTraffic) {
   options.telemetry_registry = &registry;
   options.dispatcher.num_shards = 3;
   options.dispatcher.feature_width = traffic.NumFeatures();
-  options.dispatcher.max_batch_rows = 32;
   auto service = ShardedScoringService::Create(std::move(model), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
@@ -288,14 +284,14 @@ TEST(ServiceTelemetryTest, LifecycleMetricsPopulateThroughRealTraffic) {
             1u);
   EXPECT_EQ(registry.GetHistogram("service.request.seconds")->Count(), 1u);
 
-  // Every flushed shard batch shows up in the per-shard labeled cells, the
-  // aggregate stage histograms, and the per-batch trace span — and the
-  // three counts agree.
+  // Every flushed shard batch shows up in the per-shard labeled cells and
+  // the aggregate stage histograms — and the counts agree.
   uint64_t flushes = 0;
   uint64_t batch_rows = 0;
+  uint64_t shard_score_stages = 0;
   for (size_t s = 0; s < 3; ++s) {
     const obs::MetricLabels shard{{"shard", std::to_string(s)}};
-    for (const char* reason : {"size", "deadline", "explicit"}) {
+    for (const char* reason : {"idle", "explicit"}) {
       flushes += registry
                      .GetCounter("service.flushes", {{"shard",
                                                       std::to_string(s)},
@@ -304,6 +300,8 @@ TEST(ServiceTelemetryTest, LifecycleMetricsPopulateThroughRealTraffic) {
     }
     batch_rows += static_cast<uint64_t>(
         registry.GetHistogram("service.batch.rows", shard)->Sum());
+    shard_score_stages +=
+        registry.GetHistogram("service.stage.score.seconds", shard)->Count();
     EXPECT_DOUBLE_EQ(
         registry.GetGauge("service.shard.queue_rows", shard)->Value(), 0.0);
   }
@@ -315,9 +313,7 @@ TEST(ServiceTelemetryTest, LifecycleMetricsPopulateThroughRealTraffic) {
             flushes);
   EXPECT_EQ(registry.GetHistogram("service.stage.queue_wait.seconds")->Count(),
             flushes);
-  EXPECT_EQ(
-      registry.GetHistogram("span.service.shard_score.seconds")->Count(),
-      flushes);
+  EXPECT_EQ(shard_score_stages, flushes);
   // Scoring did real work, so the kernel histogram carries real time.
   EXPECT_GT(registry.GetHistogram("service.stage.kernel.seconds")->Sum(), 0.0);
   EXPECT_GT(
@@ -330,7 +326,7 @@ TEST(ServiceTelemetryTest, LifecycleMetricsPopulateThroughRealTraffic) {
   EXPECT_NE(prom.find("lightmirm_service_shard_queue_rows{shard=\"0\"}"),
             std::string::npos);
   EXPECT_NE(prom.find(
-                "lightmirm_service_flushes{reason=\"size\",shard=\"0\"}"),
+                "lightmirm_service_flushes{reason=\"idle\",shard=\"0\"}"),
             std::string::npos);
   const std::string json = obs::ExportJson(registry);
   EXPECT_NE(json.find("service.shard.queue_rows{shard=\\\"1\\\"}"),
@@ -346,7 +342,6 @@ TEST(ServiceTelemetryTest, ExemplarStampsAreMonotonicThroughTheLifecycle) {
   options.slowest_k = 8;
   options.dispatcher.num_shards = 4;
   options.dispatcher.feature_width = traffic.NumFeatures();
-  options.dispatcher.max_batch_rows = 64;
   auto service = ShardedScoringService::Create(std::move(model), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
@@ -401,7 +396,6 @@ TEST(ServiceTelemetryTest, ScoresAreBitIdenticalWithTelemetryOnAndOff) {
     options.telemetry_registry = &registry;
     options.dispatcher.num_shards = 4;
     options.dispatcher.feature_width = batch.NumFeatures();
-    options.dispatcher.max_batch_rows = 32;
     auto service = ShardedScoringService::Create(std::move(m), options);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
     auto response =
@@ -442,31 +436,25 @@ TEST(ServiceTelemetryTest, TelemetryDisabledTracksNothing) {
 }
 
 // Lifecycle counts are a pure function of the request stream: the same
-// synchronous single-row traffic produces identical span / stage / request
-// counts at any scoring-pool width and under either flush trigger.
+// synchronous single-row traffic produces identical stage / request /
+// flush counts at any scoring-pool width. Each Score call waits for its
+// own completion, so every request is flushed alone.
 TEST(ServiceTelemetryTest, StageCountsAreDeterministicAcrossThreadCounts) {
   constexpr int kRequests = 24;
   const size_t width =
       TrainModel(29).compiled_forest()->min_feature_count();
 
   struct Counts {
-    uint64_t requests, spans, score_stages, request_hist, flushes;
+    uint64_t requests, score_stages, request_hist, flushes;
     bool operator==(const Counts&) const = default;
   };
-  const auto run = [&](int score_threads, bool deadline_trigger) {
+  const auto run = [&](int score_threads) {
     obs::MetricsRegistry registry;
     ServiceOptions options;
     options.telemetry_registry = &registry;
     options.dispatcher.num_shards = 2;
     options.dispatcher.feature_width = width;
     options.dispatcher.score_threads = score_threads;
-    if (deadline_trigger) {
-      options.dispatcher.max_batch_rows = 1000;
-      options.dispatcher.max_delay = std::chrono::microseconds(300);
-    } else {
-      options.dispatcher.max_batch_rows = 1;
-      options.dispatcher.max_delay = kNever;
-    }
     auto service = ShardedScoringService::Create(TrainModel(29), options);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
     for (int i = 0; i < kRequests; ++i) {
@@ -478,7 +466,7 @@ TEST(ServiceTelemetryTest, StageCountsAreDeterministicAcrossThreadCounts) {
     (*service)->Flush();
     uint64_t flushes = 0;
     for (size_t s = 0; s < 2; ++s) {
-      for (const char* reason : {"size", "deadline", "explicit"}) {
+      for (const char* reason : {"idle", "explicit"}) {
         flushes += registry
                        .GetCounter("service.flushes",
                                    {{"shard", std::to_string(s)},
@@ -488,31 +476,20 @@ TEST(ServiceTelemetryTest, StageCountsAreDeterministicAcrossThreadCounts) {
     }
     return Counts{
         registry.GetCounter("service.requests")->Value(),
-        registry.GetHistogram("span.service.shard_score.seconds")->Count(),
         registry.GetHistogram("service.stage.score.seconds")->Count(),
         registry.GetHistogram("service.request.seconds")->Count(),
         flushes};
   };
 
-  // Size-triggered single-row flushes: one span per request, exactly, at
-  // every pool width.
-  const Counts base = run(1, /*deadline_trigger=*/false);
+  // Single-row flushes: one scored batch per request, exactly, at every
+  // pool width.
+  const Counts base = run(1);
   EXPECT_EQ(base.requests, kRequests);
-  EXPECT_EQ(base.spans, kRequests);
   EXPECT_EQ(base.score_stages, kRequests);
   EXPECT_EQ(base.request_hist, kRequests);
   EXPECT_EQ(base.flushes, kRequests);
-  EXPECT_EQ(run(2, false), base);
-  EXPECT_EQ(run(8, false), base);
-  // Deadline-triggered flushes batch differently, but request-level counts
-  // cannot change with flush timing.
-  for (const int threads : {1, 8}) {
-    const Counts deadline = run(threads, /*deadline_trigger=*/true);
-    EXPECT_EQ(deadline.requests, kRequests);
-    EXPECT_EQ(deadline.request_hist, kRequests);
-    EXPECT_EQ(deadline.spans, deadline.flushes);
-    EXPECT_EQ(deadline.score_stages, deadline.flushes);
-  }
+  EXPECT_EQ(run(2), base);
+  EXPECT_EQ(run(8), base);
 }
 
 TEST(ServiceTelemetryTest, ShedNamesTheShardAndCapAndCounts) {
@@ -535,9 +512,7 @@ TEST(ServiceTelemetryTest, ShedNamesTheShardAndCapAndCounts) {
   DispatcherOptions options;
   options.num_shards = 1;
   options.feature_width = 1;
-  options.max_batch_rows = 8;
   options.max_pending_rows = 8;
-  options.max_delay = kNever;
   options.telemetry = &telemetry;
   auto dispatcher = BatchDispatcher::Create(
       options, [gate](size_t, ShardBatch& batch, std::vector<double>* scores) {

@@ -1,8 +1,11 @@
-// BatchDispatcher and ShardedScoringService: request partitioning, batch
-// triggers (size / deadline / explicit flush), atomic shed, row-aligned
+// BatchDispatcher and ShardedScoringService: request partitioning,
+// work-conserving flushes (idle / explicit), atomic shed, row-aligned
 // completions across shards, per-shard monitor feeds, and the merged
-// health verdict matching a single monitor over the same traffic. The
-// concurrency tests run under TSan in CI (job `tsan`).
+// health verdict matching a single monitor over the same traffic. Tests
+// that need rows to stay pending hold them with the scorer, not a clock:
+// a scorer parked on a latch keeps its flush cycle running, and rows
+// submitted meanwhile queue behind it. The concurrency tests run under
+// TSan in CI (job `tsan`).
 #include "serve/service/sharded_service.h"
 
 #include <gtest/gtest.h>
@@ -11,9 +14,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,9 +29,41 @@
 #include "serve/service/dispatcher.h"
 
 namespace lightmirm::serve {
-namespace {
 
-constexpr auto kNever = std::chrono::microseconds(30'000'000);
+// Reaches BatchDispatcher's private test seam (dispatcher.h): the idle
+// hook, and the wake flags a test must see set before it lets a held
+// flush cycle finish.
+class DispatcherTestPeer {
+ public:
+  static Result<std::unique_ptr<BatchDispatcher>> Create(
+      DispatcherOptions options, ShardScoreFn score_fn,
+      BatchDispatcher::IdleHook idle_hook) {
+    return BatchDispatcher::Create(std::move(options), std::move(score_fn),
+                                   std::move(idle_hook));
+  }
+  /// Returns once a Flush() call has registered with the loop.
+  static void AwaitFlushRequest(BatchDispatcher& d) {
+    Await(d, [&d] { return d.flush_requested_; });
+  }
+  /// Returns once the destructor has asked the loop to stop.
+  static void AwaitStop(BatchDispatcher& d) {
+    Await(d, [&d] { return d.stop_; });
+  }
+
+ private:
+  template <typename Pred>
+  static void Await(BatchDispatcher& d, Pred pred) {
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(d.wake_mu_);
+        if (pred()) return;
+      }
+      std::this_thread::yield();
+    }
+  }
+};
+
+namespace {
 
 data::Dataset GenSet(int rows_per_year, uint64_t seed) {
   data::LoanGeneratorOptions gen;
@@ -62,6 +99,80 @@ Result<std::unique_ptr<BatchDispatcher>> MakeFakeDispatcher(
       });
 }
 
+// A scorer parked on a latch: each call records the first feature of every
+// row it scores, then blocks until the test opens the latch (which stays
+// open). While it is parked its flush cycle keeps running, so rows
+// submitted meanwhile queue behind it. Scores match MakeFakeDispatcher's.
+struct HeldScorer {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  int entered = 0;
+  std::vector<double> scored;  ///< row tags in scoring order
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  void AwaitEntered(int calls) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered >= calls; });
+  }
+  static ShardScoreFn Fn(std::shared_ptr<HeldScorer> self) {
+    return [self](size_t shard, const ShardBatch& batch,
+                  std::vector<double>* scores) {
+      std::unique_lock<std::mutex> lock(self->mu);
+      ++self->entered;
+      self->cv.notify_all();
+      for (size_t r = 0; r < batch.rows; ++r) {
+        self->scored.push_back(batch.features[r * batch.width]);
+      }
+      self->cv.wait(lock, [&] { return self->open; });
+      for (size_t r = 0; r < batch.rows; ++r) {
+        (*scores)[r] = batch.features[r * batch.width] + 1000.0 * shard;
+      }
+      return Status::OK();
+    };
+  }
+};
+
+// Counts completions per request tag; every completion must be a success.
+struct Completions {
+  std::mutex mu;
+  std::map<int, int> calls;
+
+  BatchDispatcher::CompletionFn For(int tag) {
+    return [this, tag](Result<ScoreResponse> response) {
+      EXPECT_TRUE(response.ok()) << "request " << tag;
+      std::lock_guard<std::mutex> lock(mu);
+      ++calls[tag];
+    };
+  }
+  int Calls(int tag) {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls.count(tag) == 0 ? 0 : calls.at(tag);
+  }
+  int Total() {
+    std::lock_guard<std::mutex> lock(mu);
+    int total = 0;
+    for (const auto& [tag, n] : calls) total += n;
+    return total;
+  }
+};
+
+// `rows` rows tagged `tag` (row i carries feature tag + i / 100.0).
+ScoreRequest TaggedRequest(int tag, size_t rows, int64_t id_base = 0) {
+  ScoreRequest request;
+  for (size_t i = 0; i < rows; ++i) {
+    request.loan_ids.push_back(id_base + static_cast<int64_t>(i));
+    request.features.push_back(tag + static_cast<double>(i) / 100.0);
+  }
+  return request;
+}
+
 TEST(DispatcherTest, CreateValidatesOptions) {
   const auto ok_fn = [](size_t, const ShardBatch&, std::vector<double>*) {
     return Status::OK();
@@ -78,13 +189,7 @@ TEST(DispatcherTest, CreateValidatesOptions) {
   bad.feature_width = 0;
   EXPECT_FALSE(BatchDispatcher::Create(bad, ok_fn).ok());
   bad = options;
-  bad.max_batch_rows = 0;
-  EXPECT_FALSE(BatchDispatcher::Create(bad, ok_fn).ok());
-  bad = options;
-  bad.max_pending_rows = options.max_batch_rows - 1;
-  EXPECT_FALSE(BatchDispatcher::Create(bad, ok_fn).ok());
-  bad = options;
-  bad.max_delay = std::chrono::microseconds(0);
+  bad.max_pending_rows = 0;
   EXPECT_FALSE(BatchDispatcher::Create(bad, ok_fn).ok());
 }
 
@@ -116,8 +221,6 @@ TEST(DispatcherTest, ScoresLandRowAlignedAcrossShards) {
   DispatcherOptions options;
   options.num_shards = 4;
   options.feature_width = 2;
-  options.max_batch_rows = 16;
-  options.max_delay = std::chrono::microseconds(1000);
   auto dispatcher = MakeFakeDispatcher(options);
   ASSERT_TRUE(dispatcher.ok());
 
@@ -149,7 +252,6 @@ TEST(DispatcherTest, KeepsEnvsAndLabelsRowAlignedWithinShardBatches) {
   DispatcherOptions options;
   options.num_shards = 3;
   options.feature_width = 1;
-  options.max_delay = std::chrono::microseconds(500);
   auto dispatcher = BatchDispatcher::Create(
       options, [seen](size_t, const ShardBatch& batch,
                       std::vector<double>* scores) {
@@ -197,31 +299,12 @@ TEST(DispatcherTest, KeepsEnvsAndLabelsRowAlignedWithinShardBatches) {
   EXPECT_EQ(rows_seen, 40u);
 }
 
-TEST(DispatcherTest, SizeTriggerFlushesAFullBatchImmediately) {
-  DispatcherOptions options;
-  options.num_shards = 1;
-  options.feature_width = 1;
-  options.max_batch_rows = 4;
-  options.max_delay = kNever;  // a deadline flush would hang the test out
-  auto dispatcher = MakeFakeDispatcher(options);
-  ASSERT_TRUE(dispatcher.ok());
-  ScoreRequest request;
-  for (int i = 0; i < 4; ++i) {
-    request.loan_ids.push_back(i);
-    request.features.push_back(i);
-  }
-  ASSERT_TRUE((*dispatcher)->Score(std::move(request)).ok());
-  const DispatcherStats stats = (*dispatcher)->stats();
-  EXPECT_GE(stats.size_flushes, 1u);
-  EXPECT_EQ(stats.deadline_flushes, 0u);
-}
-
-TEST(DispatcherTest, DeadlineTriggerRescuesTrickleTraffic) {
+TEST(DispatcherTest, IdleDispatcherFlushesASingleRowAtOnce) {
+  // No deadline and no size trigger: an idle dispatcher flushes a lone
+  // row as soon as it lands, without any Flush() call.
   DispatcherOptions options;
   options.num_shards = 2;
   options.feature_width = 1;
-  options.max_batch_rows = 1000;  // never reached by one row
-  options.max_delay = std::chrono::microseconds(2000);
   auto dispatcher = MakeFakeDispatcher(options);
   ASSERT_TRUE(dispatcher.ok());
   ScoreRequest request;
@@ -230,104 +313,80 @@ TEST(DispatcherTest, DeadlineTriggerRescuesTrickleTraffic) {
   const auto response = (*dispatcher)->Score(std::move(request));
   ASSERT_TRUE(response.ok());
   const DispatcherStats stats = (*dispatcher)->stats();
-  EXPECT_GE(stats.deadline_flushes, 1u);
+  EXPECT_GE(stats.idle_flushes, 1u);
+  EXPECT_EQ(stats.explicit_flushes, 0u);
   EXPECT_EQ(stats.size_flushes, 0u);
+  EXPECT_EQ(stats.deadline_flushes, 0u);
 }
 
 TEST(DispatcherTest, FlushDrainsEveryPendingRow) {
+  // Request 0 parks its cycle in the scorer; requests 1..9 queue behind
+  // it, and Flush() is called while all of them are still pending.
   DispatcherOptions options;
   options.num_shards = 4;
   options.feature_width = 1;
-  options.max_batch_rows = 1000;
-  options.max_delay = kNever;
-  auto dispatcher = MakeFakeDispatcher(options);
+  auto scorer = std::make_shared<HeldScorer>();
+  Completions completions;
+  auto dispatcher = BatchDispatcher::Create(options, HeldScorer::Fn(scorer));
   ASSERT_TRUE(dispatcher.ok());
-  std::atomic<int> completed{0};
-  for (int r = 0; r < 10; ++r) {
-    ScoreRequest request;
-    for (int i = 0; i < 3; ++i) {
-      request.loan_ids.push_back(r * 100 + i);
-      request.features.push_back(i);
-    }
-    ASSERT_TRUE((*dispatcher)
-                    ->Submit(std::move(request),
-                             [&completed](Result<ScoreResponse> response) {
-                               EXPECT_TRUE(response.ok());
-                               completed.fetch_add(1);
-                             })
+  ASSERT_TRUE((*dispatcher)
+                  ->Submit(TaggedRequest(0, 3), completions.For(0))
+                  .ok());
+  scorer->AwaitEntered(1);
+  // EXPECT, not ASSERT, while a cycle is held: an early return would
+  // block the destructor on the closed latch.
+  for (int r = 1; r < 10; ++r) {
+    EXPECT_TRUE((*dispatcher)
+                    ->Submit(TaggedRequest(r, 3, r * 100),
+                             completions.For(r))
                     .ok());
   }
-  (*dispatcher)->Flush();
-  EXPECT_EQ(completed.load(), 10);
+  std::atomic<int> completed_at_return{-1};
+  std::thread flusher([&] {
+    (*dispatcher)->Flush();
+    completed_at_return = completions.Total();
+  });
+  DispatcherTestPeer::AwaitFlushRequest(**dispatcher);
+  EXPECT_EQ(completions.Total(), 0);
+  scorer->Open();
+  flusher.join();
+  EXPECT_EQ(completed_at_return, 10);
   const DispatcherStats stats = (*dispatcher)->stats();
-  EXPECT_GE(stats.explicit_flushes, 1u);
+  EXPECT_GE(stats.idle_flushes, 1u);      // request 0's cycle
+  EXPECT_GE(stats.explicit_flushes, 1u);  // the rows Flush() found queued
   EXPECT_EQ(stats.requests, 10u);
   EXPECT_EQ(stats.rows, 30u);
 }
 
 TEST(DispatcherTest, ShedsAtomicallyWhenAShardIsFull) {
-  // Block the scorer so the accumulator refills while a flush cycle is in
-  // flight, then overflow it.
-  struct Gate {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool entered = false;
-    bool release = false;
-  };
-  auto gate = std::make_shared<Gate>();
+  // Hold a flush cycle in the scorer so the accumulator refills behind
+  // it, then overflow it.
   DispatcherOptions options;
   options.num_shards = 1;
   options.feature_width = 1;
-  options.max_batch_rows = 8;
   options.max_pending_rows = 8;
-  options.max_delay = kNever;
-  auto dispatcher = BatchDispatcher::Create(
-      options, [gate](size_t, const ShardBatch& batch,
-                      std::vector<double>* scores) {
-        std::unique_lock<std::mutex> lock(gate->mu);
-        gate->entered = true;
-        gate->cv.notify_all();
-        gate->cv.wait(lock, [&] { return gate->release; });
-        scores->assign(batch.rows, 1.0);
-        return Status::OK();
-      });
+  auto scorer = std::make_shared<HeldScorer>();
+  Completions completions;
+  auto dispatcher = BatchDispatcher::Create(options, HeldScorer::Fn(scorer));
   ASSERT_TRUE(dispatcher.ok());
 
-  std::atomic<int> completed{0};
-  const auto submit_rows = [&](size_t rows) {
-    ScoreRequest request;
-    for (size_t i = 0; i < rows; ++i) {
-      request.loan_ids.push_back(static_cast<int64_t>(i));
-      request.features.push_back(0.0);
-    }
-    return (*dispatcher)
-        ->Submit(std::move(request),
-                 [&completed](Result<ScoreResponse> response) {
-                   EXPECT_TRUE(response.ok());
-                   completed.fetch_add(1);
-                 });
-  };
-  // Fills the shard to the size trigger; the cycle starts and parks in
-  // the gate with the accumulator already swapped out...
-  ASSERT_TRUE(submit_rows(8).ok());
-  {
-    std::unique_lock<std::mutex> lock(gate->mu);
-    gate->cv.wait(lock, [&] { return gate->entered; });
-  }
+  // An idle dispatcher flushes these at once; the cycle parks in the
+  // scorer with the accumulator already swapped out...
+  ASSERT_TRUE(
+      (*dispatcher)->Submit(TaggedRequest(1, 8), completions.For(1)).ok());
+  scorer->AwaitEntered(1);
   // ...so this refills the accumulator exactly to the cap...
-  ASSERT_TRUE(submit_rows(8).ok());
+  EXPECT_TRUE(
+      (*dispatcher)->Submit(TaggedRequest(2, 8), completions.For(2)).ok());
   // ...and one more row must shed, leaving no partial rows behind.
-  const Status shed = submit_rows(1);
-  ASSERT_FALSE(shed.ok());
+  const Status shed =
+      (*dispatcher)->Submit(TaggedRequest(3, 1), completions.For(3));
   EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
 
-  {
-    std::lock_guard<std::mutex> lock(gate->mu);
-    gate->release = true;
-  }
-  gate->cv.notify_all();
+  scorer->Open();
   (*dispatcher)->Flush();
-  EXPECT_EQ(completed.load(), 2);  // the shed request's done never fired
+  EXPECT_EQ(completions.Total(), 2);  // the shed request's done never fired
+  EXPECT_EQ(completions.Calls(3), 0);
   const DispatcherStats stats = (*dispatcher)->stats();
   EXPECT_EQ(stats.shed_requests, 1u);
   EXPECT_EQ(stats.requests, 2u);
@@ -371,7 +430,6 @@ TEST(DispatcherTest, ShardErrorReachesTheCompletion) {
   DispatcherOptions options;
   options.num_shards = 2;
   options.feature_width = 1;
-  options.max_delay = std::chrono::microseconds(500);
   auto dispatcher = BatchDispatcher::Create(
       options,
       [](size_t, const ShardBatch&, std::vector<double>*) {
@@ -387,42 +445,38 @@ TEST(DispatcherTest, ShardErrorReachesTheCompletion) {
 }
 
 TEST(DispatcherTest, DestructionFlushesAndCompletesPendingRows) {
-  std::atomic<int> completed{0};
-  {
-    DispatcherOptions options;
-    options.num_shards = 2;
-    options.feature_width = 1;
-    options.max_batch_rows = 1000;
-    options.max_delay = kNever;
-    auto dispatcher = MakeFakeDispatcher(options);
-    ASSERT_TRUE(dispatcher.ok());
-    ScoreRequest request;
-    request.loan_ids = {1, 2, 3};
-    request.features = {1.0, 2.0, 3.0};
-    ASSERT_TRUE((*dispatcher)
-                    ->Submit(std::move(request),
-                             [&completed](Result<ScoreResponse> response) {
-                               EXPECT_TRUE(response.ok());
-                               completed.fetch_add(1);
-                             })
-                    .ok());
-  }  // destructor must score + complete, not drop
-  EXPECT_EQ(completed.load(), 1);
-}
-
-TEST(DispatcherTest, SubmitWakeupsAreNeverLost) {
-  // Regression for a lost-wakeup race: Submit's notify could fire in the
-  // window after the dispatcher scanned the shards (empty — the append
-  // wasn't visible yet) but before it entered its untimed wait, stranding
-  // the rows until some unrelated Submit/Flush arrived. With max_delay
-  // effectively off and max_batch_rows = 1, every one of these blocking
-  // Score calls depends on its own wakeup being seen — a single lost one
-  // hangs the test instead of passing slowly.
+  // Request 1 parks its cycle in the scorer and request 2 queues behind
+  // it; the destructor runs while both are pending and must score and
+  // complete them, not drop them.
   DispatcherOptions options;
   options.num_shards = 2;
   options.feature_width = 1;
-  options.max_batch_rows = 1;
-  options.max_delay = kNever;
+  auto scorer = std::make_shared<HeldScorer>();
+  Completions completions;
+  auto created = BatchDispatcher::Create(options, HeldScorer::Fn(scorer));
+  ASSERT_TRUE(created.ok());
+  std::unique_ptr<BatchDispatcher> dispatcher = std::move(*created);
+  BatchDispatcher* raw = dispatcher.get();
+  ASSERT_TRUE(raw->Submit(TaggedRequest(1, 3), completions.For(1)).ok());
+  scorer->AwaitEntered(1);
+  EXPECT_TRUE(raw->Submit(TaggedRequest(2, 3, 10), completions.For(2)).ok());
+  std::thread destroyer([&] { dispatcher.reset(); });
+  DispatcherTestPeer::AwaitStop(*raw);
+  EXPECT_EQ(completions.Total(), 0);
+  scorer->Open();
+  destroyer.join();
+  EXPECT_EQ(completions.Calls(1), 1);
+  EXPECT_EQ(completions.Calls(2), 1);
+}
+
+TEST(DispatcherTest, SubmitWakeupsAreNeverLost) {
+  // Stress companion to SubmitInTheIdleWindowIsNeverLost: with no
+  // deadline, nothing but its own wakeup flushes a blocking single-row
+  // Score once the other callers have finished — a single lost wakeup
+  // hangs the test instead of passing slowly. Runs under TSan in CI.
+  DispatcherOptions options;
+  options.num_shards = 2;
+  options.feature_width = 1;
   auto dispatcher = MakeFakeDispatcher(options);
   ASSERT_TRUE(dispatcher.ok());
   std::vector<std::thread> callers;
@@ -443,6 +497,200 @@ TEST(DispatcherTest, SubmitWakeupsAreNeverLost) {
   }
   for (std::thread& caller : callers) caller.join();
   EXPECT_EQ((*dispatcher)->stats().rows, 800u);
+}
+
+TEST(DispatcherTest, SubmitInTheIdleWindowIsNeverLost) {
+  // The idle hook runs on the dispatcher thread after a scan found every
+  // shard empty and before the loop waits. A Submit from it lands its
+  // rows and its notify in exactly the window a lost wakeup strands them
+  // in: nobody is waiting yet, so the notify is dropped. The loop must
+  // notice the moved wake sequence and rescan instead of sleeping. With
+  // the wait's predicate removed (`wake_cv_.wait(lock)`, the shape of the
+  // original race) the row is never scored and this test fails every
+  // run. Bounded wait, no sleeps.
+  struct Done {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool done = false;
+  };
+  auto done = std::make_shared<Done>();
+  auto armed = std::make_shared<std::atomic<bool>>(true);
+  DispatcherOptions options;
+  options.num_shards = 2;
+  options.feature_width = 1;
+  auto dispatcher = DispatcherTestPeer::Create(
+      options,
+      [](size_t, const ShardBatch& batch, std::vector<double>* scores) {
+        scores->assign(batch.rows, 1.0);
+        return Status::OK();
+      },
+      [done, armed](BatchDispatcher& self) {
+        if (!armed->exchange(false)) return;
+        const Status submitted = self.Submit(
+            TaggedRequest(7, 1), [done](Result<ScoreResponse> response) {
+              EXPECT_TRUE(response.ok());
+              {
+                std::lock_guard<std::mutex> lock(done->mu);
+                done->done = true;
+              }
+              done->cv.notify_all();
+            });
+        EXPECT_TRUE(submitted.ok());
+      });
+  ASSERT_TRUE(dispatcher.ok());
+  std::unique_lock<std::mutex> lock(done->mu);
+  EXPECT_TRUE(done->cv.wait_for(lock, std::chrono::seconds(5),
+                                [&] { return done->done; }))
+      << "a row submitted between the idle scan and the wait was stranded";
+  EXPECT_FALSE(armed->load());
+}
+
+// Interleavings of Submit, Flush, shed and stop around a held flush cycle.
+// Each step runs while the latch holds the first cycle, so the state it
+// meets is fixed by construction, not by timing. Every scenario then
+// checks the dispatcher's three promises: every accepted row is scored
+// and completed exactly once; a shed request has no row scored anywhere
+// (never half-enqueued); and Flush() returns only after all work accepted
+// before it has completed.
+TEST(DispatcherInterleavingTest, HeldCycleInterleavingsKeepTheInvariants) {
+  struct Harness {
+    std::shared_ptr<HeldScorer> scorer = std::make_shared<HeldScorer>();
+    Completions completions;
+    std::unique_ptr<BatchDispatcher> dispatcher;
+    BatchDispatcher* raw = nullptr;
+    std::vector<std::vector<int64_t>> shard_ids;  ///< loan ids per shard
+    std::map<int, size_t> accepted;               ///< tag -> rows
+    std::vector<int> shed;
+
+    // A request tagged `tag` with `rows[s]` rows on shard s.
+    Status Submit(int tag, std::vector<size_t> rows) {
+      ScoreRequest request;
+      size_t total = 0;
+      for (size_t s = 0; s < rows.size(); ++s) {
+        for (size_t i = 0; i < rows[s]; ++i) {
+          request.loan_ids.push_back(shard_ids[s][i]);
+          request.features.push_back(tag + static_cast<double>(total++) /
+                                               100.0);
+        }
+      }
+      const Status status =
+          raw->Submit(std::move(request), completions.For(tag));
+      if (status.ok()) {
+        accepted[tag] = total;
+      } else {
+        shed.push_back(tag);
+      }
+      return status;
+    }
+    // Flush() on its own thread; records how many requests had completed
+    // when it returned.
+    std::thread FlushAsync(std::atomic<int>* completed_at_return) {
+      std::thread flusher([this, completed_at_return] {
+        raw->Flush();
+        *completed_at_return = completions.Total();
+      });
+      DispatcherTestPeer::AwaitFlushRequest(*raw);
+      return flusher;
+    }
+  };
+  struct Scenario {
+    const char* name;
+    std::function<void(Harness&)> drive;
+  };
+  const std::vector<Scenario> scenarios = {
+      {"submit during a running cycle",
+       [](Harness& h) {
+         ASSERT_TRUE(h.Submit(1, {2, 2}).ok());
+         h.scorer->AwaitEntered(1);
+         // Queues behind the held cycle: nothing completes yet.
+         ASSERT_TRUE(h.Submit(2, {1, 3}).ok());
+         EXPECT_EQ(h.completions.Total(), 0);
+         h.scorer->Open();
+         h.raw->Flush();
+         EXPECT_EQ(h.completions.Total(), 2);
+         // Cycles are serialized, so the held cycle scored request 1
+         // alone and request 2's rows came after it.
+         std::lock_guard<std::mutex> lock(h.scorer->mu);
+         ASSERT_EQ(h.scorer->scored.size(), 8u);
+         for (size_t i = 0; i < 4; ++i) EXPECT_LT(h.scorer->scored[i], 2.0);
+         for (size_t i = 4; i < 8; ++i) EXPECT_GE(h.scorer->scored[i], 2.0);
+       }},
+      {"shed while Flush waits",
+       [](Harness& h) {
+         ASSERT_TRUE(h.Submit(1, {1, 0}).ok());
+         h.scorer->AwaitEntered(1);
+         ASSERT_TRUE(h.Submit(2, {4, 1}).ok());  // shard 0 at its cap
+         std::atomic<int> completed_at_return{-1};
+         std::thread flusher = h.FlushAsync(&completed_at_return);
+         // Shard 0 is full, so the whole request sheds: its shard-1 row
+         // must not be appended either.
+         const Status shed = h.Submit(3, {1, 1});
+         EXPECT_EQ(shed.code(), StatusCode::kResourceExhausted);
+         EXPECT_EQ(completed_at_return, -1);
+         h.scorer->Open();
+         flusher.join();
+         EXPECT_EQ(completed_at_return, 2);
+       }},
+      {"submit while Flush waits",
+       [](Harness& h) {
+         ASSERT_TRUE(h.Submit(1, {1, 1}).ok());
+         h.scorer->AwaitEntered(1);
+         std::atomic<int> completed_at_return{-1};
+         std::thread flusher = h.FlushAsync(&completed_at_return);
+         // Accepted after Flush() began; Flush() drains it too.
+         EXPECT_TRUE(h.Submit(2, {2, 2}).ok());
+         h.scorer->Open();
+         flusher.join();
+         EXPECT_EQ(completed_at_return, 2);
+       }},
+      {"stop with rows held",
+       [](Harness& h) {
+         ASSERT_TRUE(h.Submit(1, {2, 1}).ok());
+         h.scorer->AwaitEntered(1);
+         ASSERT_TRUE(h.Submit(2, {1, 2}).ok());
+         std::thread destroyer([&h] { h.dispatcher.reset(); });
+         DispatcherTestPeer::AwaitStop(*h.raw);
+         EXPECT_EQ(h.completions.Total(), 0);
+         h.scorer->Open();
+         destroyer.join();
+         EXPECT_EQ(h.completions.Total(), 2);
+       }},
+  };
+
+  for (const Scenario& scenario : scenarios) {
+    SCOPED_TRACE(scenario.name);
+    Harness h;
+    DispatcherOptions options;
+    options.num_shards = 2;
+    options.feature_width = 1;
+    options.max_pending_rows = 4;
+    auto created = BatchDispatcher::Create(options, HeldScorer::Fn(h.scorer));
+    ASSERT_TRUE(created.ok());
+    h.dispatcher = std::move(*created);
+    h.raw = h.dispatcher.get();
+    h.shard_ids.resize(options.num_shards);
+    for (int64_t id = 0; h.shard_ids[0].size() < 8 ||
+                         h.shard_ids[1].size() < 8;
+         ++id) {
+      h.shard_ids[h.raw->ShardOf(id)].push_back(id);
+    }
+    scenario.drive(h);
+    h.scorer->Open();
+    h.dispatcher.reset();  // drains anything a failed step left pending
+
+    std::map<int, size_t> scored_rows;
+    for (const double tag : h.scorer->scored) {
+      ++scored_rows[static_cast<int>(tag)];
+    }
+    for (const auto& [tag, rows] : h.accepted) {
+      EXPECT_EQ(h.completions.Calls(tag), 1) << "request " << tag;
+      EXPECT_EQ(scored_rows[tag], rows) << "request " << tag;
+    }
+    for (const int tag : h.shed) {
+      EXPECT_EQ(h.completions.Calls(tag), 0) << "request " << tag;
+      EXPECT_EQ(scored_rows[tag], 0u) << "request " << tag;
+    }
+  }
 }
 
 ScoreRequest DatasetRequest(const data::Dataset& set, int64_t id_base,
@@ -499,7 +747,6 @@ TEST(ServiceTest, ScoresBitIdenticalToTheDirectSession) {
   ServiceOptions options;
   options.dispatcher.num_shards = 4;
   options.dispatcher.feature_width = batch.NumFeatures();
-  options.dispatcher.max_batch_rows = 32;
   auto service = ShardedScoringService::Create(std::move(model), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   const auto response =
@@ -658,8 +905,6 @@ TEST(ServiceConcurrencyTest, ParallelSubmitsDeployAndHealthTicks) {
   ServiceOptions options;
   options.dispatcher.num_shards = 4;
   options.dispatcher.feature_width = rows.NumFeatures();
-  options.dispatcher.max_batch_rows = 16;
-  options.dispatcher.max_delay = std::chrono::microseconds(500);
   auto service = ShardedScoringService::Create(std::move(model), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
