@@ -93,18 +93,29 @@ int main(int argc, char** argv) {
 
   // Threads sweep: re-train LightMIRM at each thread count and record the
   // whole-epoch wall clock. Results are deterministic across thread counts;
-  // only the wall clock changes. Disable with sweep= (empty).
+  // only the wall clock changes. A count above the host's hardware threads
+  // would time oversubscription, not scaling, so it is written as
+  // unmeasured. Disable with sweep= (empty).
   const std::vector<int> sweep =
-      ParseThreadList(cfg.GetString("sweep", "1,2,4"));
+      ParseThreadList(cfg.GetString("sweep", "1,2,4,8"));
   struct SweepPoint {
     int threads;
+    bool measured;
     double epoch_seconds;
   };
   std::vector<SweepPoint> sweep_points;
+  SweepPoint base{0, false, 0.0};  // the first measured point
   if (!sweep.empty()) {
     std::printf("\nLightMIRM threads sweep (whole-epoch seconds, "
                 "hardware threads available: %d):\n\n", HardwareThreads());
     for (int t : sweep) {
+      if (t > HardwareThreads()) {
+        sweep_points.push_back({t, false, 0.0});
+        std::printf("  threads=%-3d unmeasured: %d threads > %d hardware "
+                    "threads\n",
+                    t, t, HardwareThreads());
+        continue;
+      }
       core::ExperimentConfig sweep_config = config;
       sweep_config.threads = t;
       sweep_config.model.trainer.threads = t;
@@ -114,20 +125,21 @@ int main(int argc, char** argv) {
                                        sweep_config.model, false),
           "training LightMIRM (threads sweep)");
       const double secs = r.step_times.TotalSeconds(train::kStepEpoch);
-      sweep_points.push_back({t, secs});
-      const double speedup = sweep_points.front().epoch_seconds / secs;
+      sweep_points.push_back({t, true, secs});
+      if (!base.measured) base = sweep_points.back();
       std::printf("  threads=%-3d %8.3fs  (%.2fx vs threads=%d)\n", t, secs,
-                  speedup, sweep_points.front().threads);
+                  base.epoch_seconds / secs, base.threads);
     }
   }
 
   // Machine-readable artifact with the per-method step breakdown and the
   // threads sweep.
   std::string json = "{\n";
+  json += "  \"bench_version\": 2,\n";
   json += StrFormat("  \"epochs\": %d,\n", config.model.trainer.epochs);
   json += StrFormat("  \"rows_per_year\": %d,\n",
                     config.generator.rows_per_year);
-  json += StrFormat("  \"hardware_threads\": %d,\n", HardwareThreads());
+  json += HardwareJsonFields();
   json += "  \"methods\": [\n";
   for (size_t i = 0; i < names.size(); ++i) {
     json += StrFormat("    {\"name\": \"%s\", \"train_seconds\": %.6f, "
@@ -151,11 +163,20 @@ int main(int argc, char** argv) {
                     full_meta / light_meta);
   json += "  \"threads_sweep\": [\n";
   for (size_t i = 0; i < sweep_points.size(); ++i) {
+    const SweepPoint& p = sweep_points[i];
+    const std::string seconds =
+        p.measured ? StrFormat("%.6f", p.epoch_seconds) : "null";
+    const std::string speedup =
+        p.measured ? StrFormat("%.4f", base.epoch_seconds / p.epoch_seconds)
+                   : "null";
+    const std::string unmeasured =
+        p.measured ? std::string("null")
+                   : StrFormat("\"%d threads > %d hardware threads\"",
+                               p.threads, HardwareThreads());
     json += StrFormat(
-        "    {\"threads\": %d, \"epoch_seconds\": %.6f, "
-        "\"speedup_vs_first\": %.4f}%s\n",
-        sweep_points[i].threads, sweep_points[i].epoch_seconds,
-        sweep_points.front().epoch_seconds / sweep_points[i].epoch_seconds,
+        "    {\"threads\": %d, \"epoch_seconds\": %s, "
+        "\"speedup_vs_first\": %s, \"unmeasured\": %s}%s\n",
+        p.threads, seconds.c_str(), speedup.c_str(), unmeasured.c_str(),
         i + 1 < sweep_points.size() ? "," : "");
   }
   json += "  ]\n}\n";

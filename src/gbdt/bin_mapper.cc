@@ -4,13 +4,21 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 
 namespace lightmirm::gbdt {
 
 BinMapper BinMapper::Fit(const std::vector<double>& values, int max_bins) {
   BinMapper mapper;
-  if (values.empty() || max_bins < 2) return mapper;
-  std::vector<double> sorted = values;
+  if (max_bins < 2) return mapper;
+  // NaN has no place in a strict weak order, so the quantiles come from the
+  // other values; BinOf sends NaN to the last bin.
+  std::vector<double> sorted;
+  sorted.reserve(values.size());
+  for (double v : values) {
+    if (!std::isnan(v)) sorted.push_back(v);
+  }
+  if (sorted.empty()) return mapper;
   std::sort(sorted.begin(), sorted.end());
   const size_t n = sorted.size();
   std::vector<double> bounds;
@@ -31,6 +39,9 @@ BinMapper BinMapper::Fit(const std::vector<double>& values, int max_bins) {
 }
 
 uint16_t BinMapper::BinOf(double value) const {
+  // NaN fails every `value <= threshold` test, so prediction sends it right
+  // at every split; the last bin sits right of every bin split too.
+  if (std::isnan(value)) return static_cast<uint16_t>(upper_bounds_.size());
   // First bin whose upper bound is >= value.
   const auto it = std::lower_bound(upper_bounds_.begin(),
                                    upper_bounds_.end(), value);
@@ -49,15 +60,17 @@ Result<BinnedMatrix> BinnedMatrix::Build(const Matrix& raw, int max_bins) {
   out.rows_ = raw.rows();
   out.mappers_.resize(raw.cols());
   out.bins_.resize(raw.cols());
-  std::vector<double> column(raw.rows());
-  for (size_t f = 0; f < raw.cols(); ++f) {
+  // Each feature is fitted and binned on its own and writes only its own
+  // slots, so the result is the same at any thread count.
+  ParallelFor(0, raw.cols(), 1, [&](size_t f) {
+    std::vector<double> column(raw.rows());
     for (size_t r = 0; r < raw.rows(); ++r) column[r] = raw.At(r, f);
     out.mappers_[f] = BinMapper::Fit(column, max_bins);
     out.bins_[f].resize(raw.rows());
     for (size_t r = 0; r < raw.rows(); ++r) {
       out.bins_[f][r] = out.mappers_[f].BinOf(column[r]);
     }
-  }
+  });
   return out;
 }
 

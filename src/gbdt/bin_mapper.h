@@ -13,13 +13,15 @@ namespace lightmirm::gbdt {
 
 /// Bin mapping for one feature: bin b covers
 /// (upper_bounds[b-1], upper_bounds[b]], with bin 0 starting at -inf and
-/// the last bin ending at +inf.
+/// the last bin ending at +inf. NaN falls in the last bin, so training
+/// sends it right at every split, as prediction does.
 class BinMapper {
  public:
   BinMapper() = default;
 
-  /// Builds quantile bins from the observed values. Duplicated quantiles
-  /// are collapsed, so features with few distinct values get few bins.
+  /// Builds quantile bins from the observed non-NaN values. Duplicated
+  /// quantiles are collapsed, so features with few distinct values get few
+  /// bins.
   static BinMapper Fit(const std::vector<double>& values, int max_bins);
 
   /// Number of bins (>= 1).
@@ -41,7 +43,8 @@ class BinMapper {
 /// Bin mappers and binned (feature-major) storage for a whole matrix.
 class BinnedMatrix {
  public:
-  /// Fits one BinMapper per column of `raw` and bins every value.
+  /// Fits one BinMapper per column of `raw` and bins every value, one
+  /// column per parallel task.
   static Result<BinnedMatrix> Build(const Matrix& raw, int max_bins);
 
   size_t rows() const { return rows_; }

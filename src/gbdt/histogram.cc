@@ -1,5 +1,6 @@
 #include "gbdt/histogram.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/thread_pool.h"
@@ -7,28 +8,30 @@
 namespace lightmirm::gbdt {
 namespace {
 
-// Rows per histogram shard. The shard structure depends only on the row
-// count (never the thread count), and shard partials are merged in shard
-// order, so the histogram is bit-identical at any thread count. Node row
-// sets below the grain take the single-shard path with zero overhead.
+// Rows per histogram shard. Each feature sums the node's rows shard by
+// shard, each shard into a zeroed partial, and adds the partials in shard
+// order. The shards depend only on the row count, never on the thread
+// count or on how features are grouped into tasks, so every bin has the
+// same float association at any thread count.
 constexpr size_t kHistogramRowGrain = 2048;
 
-// Accumulates rows [begin, end) of `rows` into `stats` (feature-major,
-// `max_bins` bins per feature).
-void AccumulateRows(const BinnedMatrix& binned, const std::vector<size_t>& rows,
-                    size_t begin, size_t end, size_t num_features,
-                    int max_bins, const std::vector<double>& grads,
-                    const std::vector<double>& hessians, BinStats* stats) {
-  for (size_t f = 0; f < num_features; ++f) {
-    const std::vector<uint16_t>& bins = binned.FeatureBins(f);
-    BinStats* feature_stats = stats + f * static_cast<size_t>(max_bins);
-    for (size_t i = begin; i < end; ++i) {
-      const size_t r = rows[i];
-      BinStats& s = feature_stats[bins[r]];
-      s.grad += grads[r];
-      s.hess += hessians[r];
-      s.count += 1.0;
-    }
+// Features per task of the feature-parallel Build and SubtractFrom.
+constexpr size_t kHistogramFeatureGrain = 8;
+
+struct GradHess {
+  double grad;
+  double hess;
+};
+
+// Adds rows [begin, end) of the node to `acc`, in row order.
+void AccumulateShard(const uint16_t* bins, const size_t* rows,
+                     const GradHess* gh, size_t begin, size_t end,
+                     BinStats* acc) {
+  for (size_t i = begin; i < end; ++i) {
+    BinStats& s = acc[bins[rows[i]]];
+    s.grad += gh[i].grad;
+    s.hess += gh[i].hess;
+    s.count += 1.0;
   }
 }
 
@@ -43,41 +46,62 @@ void NodeHistogram::Build(const BinnedMatrix& binned,
                           const std::vector<size_t>& rows,
                           const std::vector<double>& grads,
                           const std::vector<double>& hessians) {
-  std::fill(stats_.begin(), stats_.end(), BinStats{});
-  const size_t num_shards = NumShards(rows.size(), kHistogramRowGrain);
-  if (num_shards <= 1) {
-    AccumulateRows(binned, rows, 0, rows.size(), num_features_, max_bins_,
-                   grads, hessians, stats_.data());
-    return;
+  const size_t n = rows.size();
+  // The node's (grad, hess) pairs in row order, so every feature's pass
+  // reads them in sequence.
+  std::vector<GradHess> gh(n);
+  for (size_t i = 0; i < n; ++i) {
+    gh[i] = {grads[rows[i]], hessians[rows[i]]};
   }
-  // Row-block sharding: per-shard local histograms, merged in fixed shard
-  // order below so the float accumulation order is thread-count-invariant.
-  std::vector<std::vector<BinStats>> partials(num_shards);
-  ParallelForShards(0, rows.size(), kHistogramRowGrain,
-                    [&](size_t shard, size_t begin, size_t end) {
-                      partials[shard].assign(stats_.size(), BinStats{});
-                      AccumulateRows(binned, rows, begin, end, num_features_,
-                                     max_bins_, grads, hessians,
-                                     partials[shard].data());
-                    });
-  for (const std::vector<BinStats>& partial : partials) {
-    for (size_t i = 0; i < stats_.size(); ++i) {
-      stats_[i].grad += partial[i].grad;
-      stats_[i].hess += partial[i].hess;
-      stats_[i].count += partial[i].count;
-    }
-  }
+  const size_t width = static_cast<size_t>(max_bins_);
+  ParallelForShards(
+      0, num_features_, kHistogramFeatureGrain,
+      [&](size_t, size_t first, size_t last) {
+        BinStats* block = stats_.data() + first * width;
+        std::fill(block, block + (last - first) * width, BinStats{});
+        std::vector<BinStats> partial(n > kHistogramRowGrain ? width : 0);
+        // Shard-major, so one shard's rows stay in cache across the block.
+        // The first shard sums straight into the zeroed output: a sum
+        // started at +0.0 is never -0.0, so adding it to zero would change
+        // no bit.
+        for (size_t begin = 0; begin < n; begin += kHistogramRowGrain) {
+          const size_t end = std::min(n, begin + kHistogramRowGrain);
+          for (size_t f = first; f < last; ++f) {
+            const uint16_t* bins = binned.FeatureBins(f).data();
+            BinStats* out = stats_.data() + f * width;
+            if (begin == 0) {
+              AccumulateShard(bins, rows.data(), gh.data(), begin, end, out);
+              continue;
+            }
+            std::fill(partial.begin(), partial.end(), BinStats{});
+            AccumulateShard(bins, rows.data(), gh.data(), begin, end,
+                            partial.data());
+            for (size_t b = 0; b < width; ++b) {
+              out[b].grad += partial[b].grad;
+              out[b].hess += partial[b].hess;
+              out[b].count += partial[b].count;
+            }
+          }
+        }
+      });
 }
 
 void NodeHistogram::SubtractFrom(const NodeHistogram& parent,
                                  const NodeHistogram& other) {
   assert(parent.stats_.size() == stats_.size() &&
          other.stats_.size() == stats_.size());
-  for (size_t i = 0; i < stats_.size(); ++i) {
-    stats_[i].grad = parent.stats_[i].grad - other.stats_[i].grad;
-    stats_[i].hess = parent.stats_[i].hess - other.stats_[i].hess;
-    stats_[i].count = parent.stats_[i].count - other.stats_[i].count;
-  }
+  const size_t width = static_cast<size_t>(max_bins_);
+  ParallelForShards(0, num_features_, kHistogramFeatureGrain,
+                    [&](size_t, size_t first, size_t last) {
+                      for (size_t i = first * width; i < last * width; ++i) {
+                        stats_[i].grad =
+                            parent.stats_[i].grad - other.stats_[i].grad;
+                        stats_[i].hess =
+                            parent.stats_[i].hess - other.stats_[i].hess;
+                        stats_[i].count =
+                            parent.stats_[i].count - other.stats_[i].count;
+                      }
+                    });
 }
 
 double LeafOutput(double grad_sum, double hess_sum, double lambda_l2) {

@@ -21,14 +21,17 @@ class NodeHistogram {
   NodeHistogram() = default;
   NodeHistogram(size_t num_features, int max_bins);
 
-  /// Accumulates the rows of `rows` into the histogram.
+  /// Replaces the histogram with the sums over `rows`. Features build in
+  /// parallel; each bin sums the rows in the given order, in fixed
+  /// 2048-row shards, and adds the shard sums in order, so the result is
+  /// bit-identical at any thread count.
   void Build(const BinnedMatrix& binned, const std::vector<size_t>& rows,
              const std::vector<double>& grads,
              const std::vector<double>& hessians);
 
   /// this = parent - other (the LightGBM histogram-subtraction trick: the
   /// larger child's histogram is derived from the parent's and the smaller
-  /// sibling's).
+  /// sibling's). `parent` may be this histogram itself.
   void SubtractFrom(const NodeHistogram& parent, const NodeHistogram& other);
 
   const BinStats& At(size_t feature, int bin) const {

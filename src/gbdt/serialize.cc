@@ -61,8 +61,9 @@ Result<Booster> LoadBooster(std::istream* in) {
       return Status::InvalidArgument("expected num_trees line");
     }
   }
+  // Both vectors grow as lines parse: the declared counts are untrusted,
+  // and a file can only hold as many trees and nodes as it has lines.
   std::vector<Tree> trees;
-  trees.reserve(num_trees);
   for (size_t t = 0; t < num_trees; ++t) {
     if (!std::getline(*in, line)) return Status::IoError("truncated booster");
     std::istringstream ss(line);
@@ -71,7 +72,7 @@ Result<Booster> LoadBooster(std::istream* in) {
     if (!(ss >> tag >> num_nodes) || tag != "tree") {
       return Status::InvalidArgument("expected tree line");
     }
-    std::vector<TreeNode> nodes(num_nodes);
+    std::vector<TreeNode> nodes;
     for (size_t i = 0; i < num_nodes; ++i) {
       if (!std::getline(*in, line)) {
         return Status::IoError("truncated booster");
@@ -79,7 +80,7 @@ Result<Booster> LoadBooster(std::istream* in) {
       std::istringstream ns(line);
       std::string kind;
       ns >> kind;
-      TreeNode& n = nodes[i];
+      TreeNode& n = nodes.emplace_back();
       if (kind == "leaf") {
         n.is_leaf = true;
         if (!(ns >> n.leaf_ordinal >> n.leaf_value)) {

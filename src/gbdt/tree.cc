@@ -171,14 +171,14 @@ Result<Tree> GrowTree(const BinnedMatrix& binned,
     right.grad_sum = split.right_grad;
     right.hess_sum = split.right_hess;
 
-    // Histogram subtraction: build the smaller child, derive the larger.
+    // Histogram subtraction: build the smaller child, derive the larger in
+    // the parent's storage.
     OpenLeaf* small = left.rows.size() <= right.rows.size() ? &left : &right;
     OpenLeaf* large = small == &left ? &right : &left;
     small->hist = std::make_unique<NodeHistogram>(num_features, max_bins);
     small->hist->Build(binned, small->rows, grads, hessians);
-    large->hist = std::make_unique<NodeHistogram>(num_features, max_bins);
-    large->hist->SubtractFrom(*leaf.hist, *small->hist);
-    leaf.hist.reset();
+    large->hist = std::move(leaf.hist);
+    large->hist->SubtractFrom(*large->hist, *small->hist);
 
     for (OpenLeaf* child : {&left, &right}) {
       child->best = FindBestSplit(

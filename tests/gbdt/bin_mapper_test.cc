@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
 
 namespace lightmirm::gbdt {
@@ -56,6 +58,29 @@ TEST(BinMapperTest, ConstantFeatureGetsOneBin) {
   EXPECT_EQ(mapper.num_bins(), 1);
   EXPECT_EQ(mapper.BinOf(5.0), 0);
   EXPECT_EQ(mapper.BinOf(99.0), 0);
+}
+
+TEST(BinMapperTest, NanValuesDoNotMoveTheBoundsAndBinLast) {
+  Rng rng(4);
+  std::vector<double> with_nan, without_nan;
+  for (int i = 0; i < 2000; ++i) {
+    if (rng.Bernoulli(0.3)) {
+      with_nan.push_back(std::nan(""));
+    } else {
+      with_nan.push_back(rng.Normal());
+      without_nan.push_back(with_nan.back());
+    }
+  }
+  const BinMapper mapper = BinMapper::Fit(with_nan, 16);
+  EXPECT_EQ(mapper.upper_bounds(),
+            BinMapper::Fit(without_nan, 16).upper_bounds());
+  EXPECT_EQ(mapper.num_bins(), 16);
+  // NaN goes right of every split, in training as in prediction.
+  EXPECT_EQ(mapper.BinOf(std::nan("")), mapper.num_bins() - 1);
+
+  const BinMapper all_nan = BinMapper::Fit({std::nan(""), std::nan("")}, 16);
+  EXPECT_EQ(all_nan.num_bins(), 1);
+  EXPECT_EQ(all_nan.BinOf(std::nan("")), 0);
 }
 
 TEST(BinnedMatrixTest, BuildsAllColumns) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
@@ -131,6 +132,45 @@ TEST(BoosterTest, RejectsBadInputs) {
   std::vector<int> bad = p.labels;
   bad[0] = 7;
   EXPECT_FALSE(Booster::Train(p.features, bad, SmallOptions()).ok());
+}
+
+TEST(BoosterTest, NanRowsTrainWhereTheyPredict) {
+  // Feature 0 is missing on ~30% of rows, and every such row defaults; the
+  // rest default at 30% regardless of feature 0. Prediction sends NaN right
+  // at every split, so training must put the NaN rows there too for their
+  // leaf to learn their default rate.
+  Rng rng(11);
+  const size_t n = 2000;
+  Matrix features(n, 1);
+  std::vector<int> labels(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.Bernoulli(0.3)) {
+      features.At(i, 0) = std::nan("");
+      labels[i] = 1;
+    } else {
+      features.At(i, 0) = rng.Normal();
+      labels[i] = rng.Bernoulli(0.3) ? 1 : 0;
+    }
+  }
+  BoosterOptions options;
+  options.num_trees = 1;
+  options.max_bins = 16;
+  const Booster booster = *Booster::Train(features, labels, options);
+  const std::vector<double> scores = booster.PredictProbs(features);
+  std::vector<double> other_scores;
+  double lowest_nan_score = 1.0;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(features.At(i, 0))) {
+      lowest_nan_score = std::min(lowest_nan_score, scores[i]);
+    } else {
+      other_scores.push_back(scores[i]);
+    }
+  }
+  std::nth_element(other_scores.begin(),
+                   other_scores.begin() + other_scores.size() / 2,
+                   other_scores.end());
+  const double majority = other_scores[other_scores.size() / 2];
+  EXPECT_GT(lowest_nan_score, majority + 0.03);
 }
 
 // Property: more trees never hurt training loss.

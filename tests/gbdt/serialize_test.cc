@@ -82,6 +82,23 @@ TEST(SerializeTest, RejectsChildIndexOutOfRange) {
   EXPECT_FALSE(LoadBooster(&buffer).ok());
 }
 
+TEST(SerializeTest, HostileCountsReturnStatus) {
+  // Counts no file of this size could hold; sizing a vector from them
+  // threw std::length_error or std::bad_alloc through the Result API.
+  for (const char* header :
+       {"lightmirm-booster-v1\nbase_score 0\nnum_trees "
+        "1000000000000000000\n",
+        "lightmirm-booster-v1\nbase_score 0\nnum_trees "
+        "100000000000000000\n",
+        "lightmirm-booster-v1\nbase_score 0\nnum_trees 1\n"
+        "tree 100000000000000000\nleaf 0 0.5\n"}) {
+    std::stringstream buffer(header);
+    const Result<Booster> loaded = LoadBooster(&buffer);
+    ASSERT_FALSE(loaded.ok()) << header;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kIoError) << header;
+  }
+}
+
 TEST(SerializeTest, MissingFileIsIoError) {
   auto r = LoadBoosterFromFile("/no/such/booster.txt");
   ASSERT_FALSE(r.ok());

@@ -3,9 +3,15 @@
 // thread count may only change the wall clock, never a single output bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "data/loan_generator.h"
 #include "gbdt/booster.h"
@@ -49,56 +55,192 @@ train::TrainData MakeProblem(linear::FeatureMatrix* x,
   return std::move(train::TrainData::Create(x, labels, envs, 10)).value();
 }
 
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// The summation order NodeHistogram::Build has always had, written
+// serially: the node's rows in 2048-row shards, each shard summed in row
+// order into a zeroed partial, the partials added to a zeroed histogram in
+// shard order. Build must reproduce it bit for bit at any thread count.
+std::vector<gbdt::BinStats> ReferenceHistogram(
+    const gbdt::BinnedMatrix& binned, const std::vector<size_t>& rows,
+    const std::vector<double>& grads, const std::vector<double>& hessians,
+    size_t width) {
+  constexpr size_t kRowGrain = 2048;
+  std::vector<gbdt::BinStats> total(binned.num_features() * width);
+  for (size_t begin = 0; begin < rows.size(); begin += kRowGrain) {
+    const size_t end = std::min(rows.size(), begin + kRowGrain);
+    std::vector<gbdt::BinStats> partial(total.size());
+    for (size_t f = 0; f < binned.num_features(); ++f) {
+      for (size_t i = begin; i < end; ++i) {
+        const size_t r = rows[i];
+        gbdt::BinStats& s = partial[f * width + binned.FeatureBins(f)[r]];
+        s.grad += grads[r];
+        s.hess += hessians[r];
+        s.count += 1.0;
+      }
+    }
+    for (size_t k = 0; k < total.size(); ++k) {
+      total[k].grad += partial[k].grad;
+      total[k].hess += partial[k].hess;
+      total[k].count += partial[k].count;
+    }
+  }
+  return total;
+}
+
+void ExpectHistogramBits(const std::vector<gbdt::BinStats>& expected,
+                         const gbdt::NodeHistogram& hist,
+                         const std::string& label) {
+  const size_t width = static_cast<size_t>(hist.max_bins());
+  for (size_t f = 0; f < hist.num_features(); ++f) {
+    for (size_t b = 0; b < width; ++b) {
+      const gbdt::BinStats& want = expected[f * width + b];
+      const gbdt::BinStats& got = hist.At(f, static_cast<int>(b));
+      ASSERT_EQ(Bits(want.grad), Bits(got.grad))
+          << label << " feature " << f << " bin " << b;
+      ASSERT_EQ(Bits(want.hess), Bits(got.hess))
+          << label << " feature " << f << " bin " << b;
+      ASSERT_EQ(Bits(want.count), Bits(got.count))
+          << label << " feature " << f << " bin " << b;
+    }
+  }
+}
+
 TEST(ParallelEquivalenceTest, HistogramBuildAndSplit) {
-  // 5000 rows x kHistogramRowGrain=2048 -> 3 shards, so the parallel merge
-  // path is exercised.
-  const size_t rows = 5000, cols = 6;
+  // 13 features, which no feature-block size from 2 to 12 divides. Node
+  // sizes straddle the 2048-row shard: one row, one row short of a full
+  // shard, exactly one shard, one row into a second shard, and three
+  // shards.
+  const size_t total_rows = 12000, cols = 13;
   Rng rng(5);
-  Matrix raw(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
+  Matrix raw(total_rows, cols);
+  for (size_t r = 0; r < total_rows; ++r) {
     for (size_t c = 0; c < cols; ++c) raw.At(r, c) = rng.Normal();
   }
   const gbdt::BinnedMatrix binned = *gbdt::BinnedMatrix::Build(raw, 16);
-  std::vector<double> grads(rows), hessians(rows);
-  for (size_t i = 0; i < rows; ++i) {
+  const size_t width = static_cast<size_t>(binned.MaxBinCount());
+  std::vector<double> grads(total_rows), hessians(total_rows);
+  for (size_t i = 0; i < total_rows; ++i) {
     grads[i] = rng.Normal();
     hessians[i] = rng.Uniform(0.05, 1.0);
   }
-  std::vector<size_t> all_rows(rows);
-  for (size_t i = 0; i < rows; ++i) all_rows[i] = i;
   std::vector<int> num_bins(cols);
-  double node_grad = 0.0, node_hess = 0.0;
-  for (size_t i = 0; i < rows; ++i) {
-    node_grad += grads[i];
-    node_hess += hessians[i];
-  }
   for (size_t f = 0; f < cols; ++f) {
     num_bins[f] = binned.mapper(f).num_bins();
   }
+  std::vector<size_t> shuffled(total_rows);
+  for (size_t i = 0; i < total_rows; ++i) shuffled[i] = i;
+  rng.Shuffle(&shuffled);
 
-  std::vector<gbdt::NodeHistogram> hists;
-  std::vector<gbdt::SplitInfo> splits;
-  for (int threads : kThreadCounts) {
-    ScopedDefaultThreads guard(threads);
-    gbdt::NodeHistogram hist(cols, binned.MaxBinCount());
-    hist.Build(binned, all_rows, grads, hessians);
-    splits.push_back(gbdt::FindBestSplit(hist, num_bins, node_grad,
-                                         node_hess,
-                                         static_cast<double>(rows), {}));
-    hists.push_back(std::move(hist));
-  }
-  for (size_t i = 1; i < hists.size(); ++i) {
-    for (size_t f = 0; f < cols; ++f) {
-      for (int b = 0; b < num_bins[f]; ++b) {
-        EXPECT_EQ(hists[0].At(f, b).grad, hists[i].At(f, b).grad);
-        EXPECT_EQ(hists[0].At(f, b).hess, hists[i].At(f, b).hess);
-        EXPECT_EQ(hists[0].At(f, b).count, hists[i].At(f, b).count);
+  for (size_t n : {size_t{1}, size_t{2047}, size_t{2048}, size_t{2049},
+                   size_t{5000}}) {
+    // The first n rows, as at a root, and a sorted random subset, as at a
+    // child node.
+    std::vector<size_t> prefix(n);
+    for (size_t i = 0; i < n; ++i) prefix[i] = i;
+    std::vector<size_t> subset(shuffled.begin(), shuffled.begin() + n);
+    std::sort(subset.begin(), subset.end());
+    for (const std::vector<size_t>* rows : {&prefix, &subset}) {
+      const std::string label =
+          StrFormat("%s of %zu rows", rows == &prefix ? "prefix" : "subset",
+                    n);
+      const std::vector<gbdt::BinStats> expected =
+          ReferenceHistogram(binned, *rows, grads, hessians, width);
+      double node_grad = 0.0, node_hess = 0.0;
+      for (size_t r : *rows) {
+        node_grad += grads[r];
+        node_hess += hessians[r];
+      }
+      gbdt::SplitOptions options;
+      options.min_data_in_leaf = 1.0;
+      std::vector<gbdt::SplitInfo> splits;
+      for (int threads : kThreadCounts) {
+        ScopedDefaultThreads guard(threads);
+        gbdt::NodeHistogram hist(cols, static_cast<int>(width));
+        hist.Build(binned, *rows, grads, hessians);
+        ExpectHistogramBits(expected, hist,
+                            label + StrFormat(" threads=%d", threads));
+        splits.push_back(gbdt::FindBestSplit(hist, num_bins, node_grad,
+                                             node_hess,
+                                             static_cast<double>(n), options));
+      }
+      for (size_t i = 1; i < splits.size(); ++i) {
+        EXPECT_EQ(splits[0].valid, splits[i].valid) << label;
+        EXPECT_EQ(splits[0].feature, splits[i].feature) << label;
+        EXPECT_EQ(splits[0].bin_threshold, splits[i].bin_threshold) << label;
+        EXPECT_EQ(Bits(splits[0].gain), Bits(splits[i].gain)) << label;
       }
     }
-    EXPECT_EQ(splits[0].valid, splits[i].valid);
-    EXPECT_EQ(splits[0].feature, splits[i].feature);
-    EXPECT_EQ(splits[0].bin_threshold, splits[i].bin_threshold);
-    EXPECT_EQ(splits[0].gain, splits[i].gain);
+  }
+
+  // Subtraction is element-wise, into a separate histogram or in place.
+  std::vector<size_t> all(total_rows), child(shuffled.begin(),
+                                             shuffled.begin() + 5000);
+  for (size_t i = 0; i < total_rows; ++i) all[i] = i;
+  std::sort(child.begin(), child.end());
+  std::vector<gbdt::BinStats> expected =
+      ReferenceHistogram(binned, all, grads, hessians, width);
+  const std::vector<gbdt::BinStats> child_sums =
+      ReferenceHistogram(binned, child, grads, hessians, width);
+  for (size_t k = 0; k < expected.size(); ++k) {
+    expected[k].grad -= child_sums[k].grad;
+    expected[k].hess -= child_sums[k].hess;
+    expected[k].count -= child_sums[k].count;
+  }
+  for (int threads : kThreadCounts) {
+    ScopedDefaultThreads guard(threads);
+    gbdt::NodeHistogram parent(cols, static_cast<int>(width));
+    gbdt::NodeHistogram small(cols, static_cast<int>(width));
+    gbdt::NodeHistogram large(cols, static_cast<int>(width));
+    parent.Build(binned, all, grads, hessians);
+    small.Build(binned, child, grads, hessians);
+    large.SubtractFrom(parent, small);
+    ExpectHistogramBits(expected, large,
+                        StrFormat("subtraction threads=%d", threads));
+    parent.SubtractFrom(parent, small);
+    ExpectHistogramBits(expected, parent,
+                        StrFormat("in-place subtraction threads=%d", threads));
+  }
+}
+
+TEST(ParallelEquivalenceTest, BinnedMatrixBuild) {
+  // Continuous, few-valued and partly missing columns, more of them than
+  // threads.
+  Rng rng(3);
+  const size_t rows = 3000, cols = 11;
+  Matrix raw(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      switch (c % 3) {
+        case 0:
+          raw.At(r, c) = rng.Normal();
+          break;
+        case 1:
+          raw.At(r, c) = static_cast<double>(rng.UniformInt(5));
+          break;
+        default:
+          raw.At(r, c) = rng.Bernoulli(0.2) ? std::nan("") : rng.Uniform();
+          break;
+      }
+    }
+  }
+  std::vector<gbdt::BinnedMatrix> built;
+  for (int threads : kThreadCounts) {
+    ScopedDefaultThreads guard(threads);
+    built.push_back(*gbdt::BinnedMatrix::Build(raw, 32));
+  }
+  for (size_t i = 1; i < built.size(); ++i) {
+    for (size_t f = 0; f < cols; ++f) {
+      EXPECT_EQ(built[0].mapper(f).upper_bounds(),
+                built[i].mapper(f).upper_bounds())
+          << "threads=" << kThreadCounts[i] << " feature " << f;
+      EXPECT_EQ(built[0].FeatureBins(f), built[i].FeatureBins(f))
+          << "threads=" << kThreadCounts[i] << " feature " << f;
+    }
   }
 }
 
