@@ -53,11 +53,13 @@ void BM_BceHvpSparse(benchmark::State& state) {
   Rng rng(2);
   std::vector<int> labels(rows);
   for (auto& y : labels) y = rng.Bernoulli(0.1) ? 1 : 0;
-  linear::ParamVec params(2001, 0.01), v(2001, 0.5), hv;
+  linear::ParamVec params(2001, 0.01), v(2001, 0.5), grad, hv;
   const linear::LossContext ctx{&x, &labels, nullptr};
   const std::vector<size_t> all = linear::AllRows(rows);
+  std::vector<double> probs;
+  linear::BceGrad(ctx, all, params, &grad, &probs);
   for (auto _ : state) {
-    linear::BceHvp(ctx, all, params, v, &hv);
+    linear::BceHvp(ctx, all, probs, v, &hv);
     benchmark::DoNotOptimize(hv.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -390,10 +390,11 @@ Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path) {
   }
   reader.feature_encoding_ = static_cast<FeatureEncoding>(encoding);
 
+  // Header counts are untrusted: the containers grow as entries parse, and
+  // a grid is read only when the file still holds its bytes.
   uint64_t num_features = 0;
   LIGHTMIRM_RETURN_NOT_OK(ReadVarintStream(in, &num_features));
   std::vector<FieldSpec> fields;
-  fields.reserve(num_features);
   for (uint64_t f = 0; f < num_features; ++f) {
     FieldSpec spec;
     LIGHTMIRM_RETURN_NOT_OK(ReadString(in, &spec.name));
@@ -411,16 +412,29 @@ Result<ColumnStoreReader> ColumnStoreReader::Open(const std::string& path) {
 
   uint64_t num_envs = 0;
   LIGHTMIRM_RETURN_NOT_OK(ReadVarintStream(in, &num_envs));
-  reader.env_names_.resize(num_envs);
   for (uint64_t e = 0; e < num_envs; ++e) {
-    LIGHTMIRM_RETURN_NOT_OK(ReadString(in, &reader.env_names_[e]));
+    std::string name;
+    LIGHTMIRM_RETURN_NOT_OK(ReadString(in, &name));
+    reader.env_names_.push_back(std::move(name));
   }
 
   if (reader.feature_encoding_ == FeatureEncoding::kServingGrid) {
+    // num_features is bounded now: every feature's schema entry parsed.
     reader.feature_grids_.resize(num_features);
+    const std::streampos grids_begin = in.tellg();
+    in.seekg(0, std::ios::end);
+    const uint64_t file_bytes = static_cast<uint64_t>(in.tellg());
+    in.seekg(grids_begin);
     for (uint64_t f = 0; f < num_features; ++f) {
       uint64_t grid_size = 0;
       LIGHTMIRM_RETURN_NOT_OK(ReadVarintStream(in, &grid_size));
+      const uint64_t bytes_left =
+          file_bytes - static_cast<uint64_t>(in.tellg());
+      if (grid_size > bytes_left / sizeof(float)) {
+        return Status::IoError(StrFormat(
+            "serving grid of %llu values overruns the file",
+            static_cast<unsigned long long>(grid_size)));
+      }
       reader.feature_grids_[f].resize(grid_size);
       LIGHTMIRM_RETURN_NOT_OK(ReadExact(in, reader.feature_grids_[f].data(),
                                         grid_size * sizeof(float)));

@@ -59,6 +59,9 @@ Result<Booster> Booster::Train(const Matrix& features,
   std::vector<size_t> all_rows(n);
   for (size_t i = 0; i < n; ++i) all_rows[i] = i;
 
+  // Scoped to this call: no histogram outlives the run.
+  HistogramFreeList free_list;
+  std::vector<std::vector<size_t>> leaf_rows;
   std::vector<double> shard_loss(NumShards(n, kRowGrain));
   for (int t = 0; t < options.num_trees; ++t) {
     ParallelForShards(0, n, kRowGrain,
@@ -93,11 +96,22 @@ Result<Booster> Booster::Train(const Matrix& features,
     }
 
     LIGHTMIRM_ASSIGN_OR_RETURN(
-        Tree tree,
-        GrowTree(binned, *rows, grads, hessians, options.tree, &rng));
-    ParallelFor(0, n, kRowGrain, [&](size_t i) {
-      scores[i] += tree.Predict(features.Row(i));
-    });
+        Tree tree, GrowTree(binned, *rows, grads, hessians, options.tree,
+                            &rng, &free_list, &leaf_rows));
+    if (rows == &all_rows) {
+      // Every row sits in the leaf the tree's Predict would reach, so
+      // adding the leaf's value row by row gives the same bits.
+      for (const TreeNode& node : tree.nodes()) {
+        if (!node.is_leaf) continue;
+        for (size_t i : leaf_rows[static_cast<size_t>(node.leaf_ordinal)]) {
+          scores[i] += node.leaf_value;
+        }
+      }
+    } else {
+      ParallelFor(0, n, kRowGrain, [&](size_t i) {
+        scores[i] += tree.Predict(features.Row(i));
+      });
+    }
     booster.trees_.push_back(std::move(tree));
   }
   return booster;

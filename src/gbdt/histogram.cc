@@ -104,6 +104,21 @@ void NodeHistogram::SubtractFrom(const NodeHistogram& parent,
                     });
 }
 
+std::unique_ptr<NodeHistogram> HistogramFreeList::Acquire(size_t num_features,
+                                                         int max_bins) {
+  if (!free_.empty() && free_.back()->num_features() == num_features &&
+      free_.back()->max_bins() == max_bins) {
+    std::unique_ptr<NodeHistogram> hist = std::move(free_.back());
+    free_.pop_back();
+    return hist;
+  }
+  return std::make_unique<NodeHistogram>(num_features, max_bins);
+}
+
+void HistogramFreeList::Release(std::unique_ptr<NodeHistogram> hist) {
+  free_.push_back(std::move(hist));
+}
+
 double LeafOutput(double grad_sum, double hess_sum, double lambda_l2) {
   return -grad_sum / (hess_sum + lambda_l2);
 }

@@ -72,7 +72,9 @@ Result<Tree> GrowTree(const BinnedMatrix& binned,
                       const std::vector<size_t>& rows,
                       const std::vector<double>& grads,
                       const std::vector<double>& hessians,
-                      const TreeLearnerOptions& options, Rng* rng) {
+                      const TreeLearnerOptions& options, Rng* rng,
+                      HistogramFreeList* free_list,
+                      std::vector<std::vector<size_t>>* leaf_rows) {
   if (options.max_leaves < 2) {
     return Status::InvalidArgument("max_leaves must be >= 2");
   }
@@ -98,6 +100,9 @@ Result<Tree> GrowTree(const BinnedMatrix& binned,
     for (size_t i = 0; i < keep; ++i) split_options.feature_mask[order[i]] = 1;
   }
 
+  HistogramFreeList local_list;
+  if (free_list == nullptr) free_list = &local_list;
+
   std::vector<TreeNode> nodes(1);  // root, provisionally a leaf
   std::vector<OpenLeaf> open;
 
@@ -109,7 +114,7 @@ Result<Tree> GrowTree(const BinnedMatrix& binned,
       root.grad_sum += grads[r];
       root.hess_sum += hessians[r];
     }
-    root.hist = std::make_unique<NodeHistogram>(num_features, max_bins);
+    root.hist = free_list->Acquire(num_features, max_bins);
     root.hist->Build(binned, root.rows, grads, hessians);
     root.best = FindBestSplit(*root.hist, feature_num_bins, root.grad_sum,
                               root.hess_sum,
@@ -175,7 +180,7 @@ Result<Tree> GrowTree(const BinnedMatrix& binned,
     // the parent's storage.
     OpenLeaf* small = left.rows.size() <= right.rows.size() ? &left : &right;
     OpenLeaf* large = small == &left ? &right : &left;
-    small->hist = std::make_unique<NodeHistogram>(num_features, max_bins);
+    small->hist = free_list->Acquire(num_features, max_bins);
     small->hist->Build(binned, small->rows, grads, hessians);
     large->hist = std::move(leaf.hist);
     large->hist->SubtractFrom(*large->hist, *small->hist);
@@ -196,14 +201,19 @@ Result<Tree> GrowTree(const BinnedMatrix& binned,
             [](const OpenLeaf& a, const OpenLeaf& b) {
               return a.node < b.node;
             });
+  if (leaf_rows != nullptr) leaf_rows->resize(open.size());
   int ordinal = 0;
-  for (const OpenLeaf& leaf : open) {
+  for (OpenLeaf& leaf : open) {
     TreeNode& n = nodes[static_cast<size_t>(leaf.node)];
     n.is_leaf = true;
-    n.leaf_ordinal = ordinal++;
     n.leaf_value =
         options.shrinkage *
         LeafOutput(leaf.grad_sum, leaf.hess_sum, split_options.lambda_l2);
+    if (leaf_rows != nullptr) {
+      (*leaf_rows)[static_cast<size_t>(ordinal)] = std::move(leaf.rows);
+    }
+    n.leaf_ordinal = ordinal++;
+    free_list->Release(std::move(leaf.hist));
   }
   return Tree(std::move(nodes));
 }

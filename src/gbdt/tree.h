@@ -72,11 +72,19 @@ struct TreeLearnerOptions {
   double feature_fraction = 1.0;
 };
 
-/// Grows one tree on (grads, hessians) over the given rows.
+/// Grows one tree on (grads, hessians) over the given rows. Node
+/// histograms come from `free_list` and go back to it when the tree is
+/// done; with no list, the call uses one of its own. When `leaf_rows` is
+/// set, (*leaf_rows)[k] receives the rows of the leaf with ordinal k, in
+/// the order of `rows`. These are the rows Tree::PredictLeaf sends there:
+/// bin <= b exactly when value <= UpperBound(b), and NaN sits in the last
+/// bin, right of every split.
 Result<Tree> GrowTree(const BinnedMatrix& binned,
                       const std::vector<size_t>& rows,
                       const std::vector<double>& grads,
                       const std::vector<double>& hessians,
-                      const TreeLearnerOptions& options, Rng* rng);
+                      const TreeLearnerOptions& options, Rng* rng,
+                      HistogramFreeList* free_list = nullptr,
+                      std::vector<std::vector<size_t>>* leaf_rows = nullptr);
 
 }  // namespace lightmirm::gbdt

@@ -1,6 +1,8 @@
 #include "linear/feature_matrix.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 #include "common/string_util.h"
 
@@ -42,6 +44,44 @@ double FeatureMatrix::RowDot(size_t r, const std::vector<double>& w) const {
   double acc = 0.0;
   for (uint32_t c : sparse_rows_[r]) acc += w[c];
   return acc;
+}
+
+void FeatureMatrix::RowDots(const size_t* rows, size_t count,
+                            const std::vector<double>& w,
+                            double* out) const {
+  assert(w.size() >= cols());
+  const double* wp = w.data();
+  size_t i = 0;
+  for (; i + kRowBlock <= count; i += kRowBlock) {
+    double acc[kRowBlock] = {};
+    if (dense_mode_) {
+      const double* row[kRowBlock];
+      for (size_t j = 0; j < kRowBlock; ++j) row[j] = dense_.Row(rows[i + j]);
+      for (size_t c = 0; c < dense_.cols(); ++c) {
+        for (size_t j = 0; j < kRowBlock; ++j) acc[j] += row[j][c] * wp[c];
+      }
+    } else {
+      // Leaf-encoded rows all have one entry per tree; rows of unequal
+      // length finish their own tails after the shared prefix.
+      const uint32_t* idx[kRowBlock];
+      size_t len[kRowBlock];
+      size_t shared = SIZE_MAX;
+      for (size_t j = 0; j < kRowBlock; ++j) {
+        const std::vector<uint32_t>& active = sparse_rows_[rows[i + j]];
+        idx[j] = active.data();
+        len[j] = active.size();
+        shared = std::min(shared, len[j]);
+      }
+      for (size_t k = 0; k < shared; ++k) {
+        for (size_t j = 0; j < kRowBlock; ++j) acc[j] += wp[idx[j][k]];
+      }
+      for (size_t j = 0; j < kRowBlock; ++j) {
+        for (size_t k = shared; k < len[j]; ++k) acc[j] += wp[idx[j][k]];
+      }
+    }
+    for (size_t j = 0; j < kRowBlock; ++j) out[i + j] = acc[j];
+  }
+  for (; i < count; ++i) out[i] = RowDot(rows[i], w);
 }
 
 void FeatureMatrix::AddScaledRow(size_t r, double a,

@@ -38,6 +38,17 @@ class FeatureMatrix {
   /// Dot product of row r with the first cols() entries of `w`.
   double RowDot(size_t r, const std::vector<double>& w) const;
 
+  /// Rows whose dot products RowDots computes together.
+  static constexpr size_t kRowBlock = 8;
+
+  /// out[i] = RowDot(rows[i], w) for i in [0, count), bit for bit. Each
+  /// block of kRowBlock rows runs its dot products interleaved, one
+  /// accumulator per row, so their add chains overlap instead of running
+  /// one after another; every row still sums its own columns in order
+  /// from +0.0.
+  void RowDots(const size_t* rows, size_t count, const std::vector<double>& w,
+               double* out) const;
+
   /// out[j] += a * X[r][j] for all j. `out` must have at least cols()
   /// entries.
   void AddScaledRow(size_t r, double a, std::vector<double>* out) const;

@@ -2,7 +2,18 @@
 
 #include <cmath>
 
+#include "common/thread_pool.h"
+
 namespace lightmirm::linear {
+namespace {
+
+// Rows per shard of PredictRows. The validation set scored after every
+// training epoch (4,800 held-out rows in the repository benchmark) splits
+// into ten shards; on 4 threads, 512 read as fast as 256 or 1024 and
+// faster than 2048.
+constexpr size_t kPredictRowGrain = 512;
+
+}  // namespace
 
 double Sigmoid(double x) {
   if (x >= 0.0) {
@@ -36,7 +47,16 @@ std::vector<double> LogisticModel::Predict(const FeatureMatrix& x) const {
 std::vector<double> LogisticModel::PredictRows(
     const FeatureMatrix& x, const std::vector<size_t>& rows) const {
   std::vector<double> out(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) out[i] = PredictRow(x, rows[i]);
+  // Fixed-grain shards write disjoint slots: the same bits at any thread
+  // count.
+  ParallelForShards(0, rows.size(), kPredictRowGrain,
+                    [&](size_t, size_t begin, size_t end) {
+                      x.RowDots(rows.data() + begin, end - begin, params_,
+                                out.data() + begin);
+                      for (size_t i = begin; i < end; ++i) {
+                        out[i] = Sigmoid(out[i] + params_.back());
+                      }
+                    });
   return out;
 }
 

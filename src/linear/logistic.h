@@ -46,7 +46,8 @@ class LogisticModel {
   /// Predicted probabilities for all rows.
   std::vector<double> Predict(const FeatureMatrix& x) const;
 
-  /// Predicted probabilities for a subset of rows (aligned with `rows`).
+  /// Predicted probabilities for a subset of rows (aligned with `rows`),
+  /// PredictRow's bits for each. Runs row-blocked on the thread pool.
   std::vector<double> PredictRows(const FeatureMatrix& x,
                                   const std::vector<size_t>& rows) const;
 

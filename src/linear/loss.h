@@ -1,6 +1,9 @@
 // Binary cross-entropy risk kernels for logistic regression over row
 // subsets (environments). These are the atomic operations of Algorithms 1
-// and 2 in the paper:
+// and 2 in the paper. Each kernel takes the dot products of a block of
+// rows together (FeatureMatrix::RowDots), then finishes the rows one at a
+// time in row order, so every sum keeps the association of a plain
+// per-row loop:
 //   R^m(D_m; theta)            -> BceLoss over the rows of environment m
 //   grad_theta R^m(D_m; theta) -> BceLossGrad
 //   H^m(theta) * v             -> BceHvp (exact logistic Hessian-vector
@@ -33,12 +36,22 @@ double BceLoss(const LossContext& ctx, const std::vector<size_t>& rows,
 double BceLossGrad(const LossContext& ctx, const std::vector<size_t>& rows,
                    const ParamVec& params, ParamVec* grad);
 
-/// Exact Hessian-vector product of the mean BCE at `params`:
+/// The gradient of BceLossGrad, bit for bit, without computing the loss
+/// (the MAML inner step discards it). When `probs` is set it receives
+/// p_i = sigmoid(theta^T x_i + b) for each of `rows`, in order: the
+/// probabilities BceHvp takes at the same `params`.
+void BceGrad(const LossContext& ctx, const std::vector<size_t>& rows,
+             const ParamVec& params, ParamVec* grad,
+             std::vector<double>* probs = nullptr);
+
+/// Exact Hessian-vector product of the mean BCE at the parameters that
+/// gave `probs` (p_i for each of `rows`, in order, as BceGrad writes them):
 ///   hv = [ (1/W) sum_i w_i s_i x_i (x_i^T v + v_b) ;
 ///          (1/W) sum_i w_i s_i (x_i^T v + v_b) ]
-/// with s_i = p_i (1 - p_i). `hv` is resized to params.size().
+/// with s_i = p_i (1 - p_i). `hv` is resized to v.size().
 void BceHvp(const LossContext& ctx, const std::vector<size_t>& rows,
-            const ParamVec& params, const ParamVec& v, ParamVec* hv);
+            const std::vector<double>& probs, const ParamVec& v,
+            ParamVec* hv);
 
 /// Adds the L2 penalty 0.5*l2*|theta|^2 (bias excluded) to `loss` and its
 /// gradient l2*theta to `grad` (grad may be null to skip).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 
 #include "common/string_util.h"
 
@@ -34,32 +34,47 @@ Status CheckInputs(const std::vector<int>& labels,
   return Status::OK();
 }
 
-}  // namespace
-
-Result<double> KsStatistic(const std::vector<int>& labels,
-                           const std::vector<double>& scores) {
-  double num_pos, num_neg;
-  LIGHTMIRM_RETURN_NOT_OK(CheckInputs(labels, scores, &num_pos, &num_neg));
+// Sorts (score, label) pairs by score and calls visit(score, gap) once per
+// distinct score, ascending, after counting all of that score's rows. The
+// order within a run of equal scores (-0.0 and +0.0 included) cannot move
+// a gap, since the whole run is counted first. Sorting the pairs
+// themselves rather than an index permutation keeps the sort's compares in
+// one contiguous array.
+template <typename Visit>
+void WalkScoreGroups(const std::vector<int>& labels,
+                     const std::vector<double>& scores, double num_pos,
+                     double num_neg, Visit&& visit) {
   const size_t n = labels.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return scores[a] < scores[b];
-  });
-  double cum_pos = 0.0, cum_neg = 0.0, best = 0.0;
+  std::vector<std::pair<double, int>> pairs(n);
+  for (size_t i = 0; i < n; ++i) pairs[i] = {scores[i], labels[i]};
+  std::sort(pairs.begin(), pairs.end(),
+            [](const std::pair<double, int>& a,
+               const std::pair<double, int>& b) { return a.first < b.first; });
+  double cum_pos = 0.0, cum_neg = 0.0;
   size_t i = 0;
   while (i < n) {
-    const double s = scores[order[i]];
-    while (i < n && scores[order[i]] == s) {
-      if (labels[order[i]] == 1) {
+    const double s = pairs[i].first;
+    while (i < n && pairs[i].first == s) {
+      if (pairs[i].second == 1) {
         cum_pos += 1.0;
       } else {
         cum_neg += 1.0;
       }
       ++i;
     }
-    best = std::max(best, std::abs(cum_neg / num_neg - cum_pos / num_pos));
+    visit(s, std::abs(cum_neg / num_neg - cum_pos / num_pos));
   }
+}
+
+}  // namespace
+
+Result<double> KsStatistic(const std::vector<int>& labels,
+                           const std::vector<double>& scores) {
+  double num_pos, num_neg;
+  LIGHTMIRM_RETURN_NOT_OK(CheckInputs(labels, scores, &num_pos, &num_neg));
+  double best = 0.0;
+  WalkScoreGroups(labels, scores, num_pos, num_neg,
+                  [&](double, double gap) { best = std::max(best, gap); });
   return best;
 }
 
@@ -67,28 +82,11 @@ Result<std::vector<KsPoint>> KsCurve(const std::vector<int>& labels,
                                      const std::vector<double>& scores) {
   double num_pos, num_neg;
   LIGHTMIRM_RETURN_NOT_OK(CheckInputs(labels, scores, &num_pos, &num_neg));
-  const size_t n = labels.size();
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return scores[a] < scores[b];
-  });
   std::vector<KsPoint> curve;
-  double cum_pos = 0.0, cum_neg = 0.0;
-  size_t i = 0;
-  while (i < n) {
-    const double s = scores[order[i]];
-    while (i < n && scores[order[i]] == s) {
-      if (labels[order[i]] == 1) {
-        cum_pos += 1.0;
-      } else {
-        cum_neg += 1.0;
-      }
-      ++i;
-    }
-    curve.push_back(
-        KsPoint{s, std::abs(cum_neg / num_neg - cum_pos / num_pos)});
-  }
+  WalkScoreGroups(labels, scores, num_pos, num_neg,
+                  [&](double threshold, double gap) {
+                    curve.push_back(KsPoint{threshold, gap});
+                  });
   return curve;
 }
 

@@ -136,7 +136,6 @@ Result<ScoreReference> ScoreReference::Parse(std::istream* in) {
     LIGHTMIRM_ASSIGN_OR_RETURN(BinnedScores bins, ReadBins(&ss, ref.num_bins));
     ref.per_env.emplace(env, std::move(bins));
   }
-  ref.env_names.reserve(num_names);
   for (size_t i = 0; i < num_names; ++i) {
     if (!std::getline(*in, line)) {
       return Status::IoError("truncated score_reference names");
@@ -244,7 +243,9 @@ Result<SlidingWindow> SlidingWindow::LoadState(std::istream* in) {
       (ring_size < capacity && next != ring_size)) {
     return Status::InvalidArgument("inconsistent sliding_window ring shape");
   }
-  SlidingWindow window(num_bins, capacity);
+  // Reserves nothing: the ring grows as entries parse, and after the load
+  // as the window fills.
+  SlidingWindow window(num_bins, capacity, NoReserve{});
   window.next_ = next;
   window.total_seen_ = total_seen;
   if (!std::getline(*in, line)) {
@@ -255,7 +256,6 @@ Result<SlidingWindow> SlidingWindow::LoadState(std::istream* in) {
     if (!(ss >> tag) || tag != "ring") {
       return Status::InvalidArgument("expected sliding_window ring line");
     }
-    window.ring_.reserve(ring_size);
     for (size_t i = 0; i < ring_size; ++i) {
       unsigned qscore = 0, bin = 0;
       int label = 0;
@@ -334,13 +334,16 @@ Result<SlidingWindow> SlidingWindow::LoadState(std::istream* in) {
 }
 
 SlidingWindow::SlidingWindow(int num_bins, size_t capacity)
+    : SlidingWindow(num_bins, capacity, NoReserve{}) {
+  ring_.reserve(capacity_);
+}
+
+SlidingWindow::SlidingWindow(int num_bins, size_t capacity, NoReserve)
     : num_bins_(std::clamp(num_bins, 2, kMaxBins)),
       capacity_(std::max<size_t>(1, capacity)),
       counts_(static_cast<size_t>(num_bins_), 0),
       labeled_(static_cast<size_t>(num_bins_), 0),
       positives_(static_cast<size_t>(num_bins_), 0),
-      score_sums_(static_cast<size_t>(num_bins_), 0.0) {
-  ring_.reserve(capacity_);
-}
+      score_sums_(static_cast<size_t>(num_bins_), 0.0) {}
 
 }  // namespace lightmirm::obs

@@ -143,9 +143,14 @@ class SlidingWindow {
   /// global-window feed overlap their miss latency.
   void PrefetchNextSlot() const {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(ring_.data() + next_, /*rw=*/1);
-    __builtin_prefetch(ring_.data() + std::min(next_ + 15, capacity_ - 1),
-                       /*rw=*/1);
+    // A loaded or copied ring that is still filling may hold less than
+    // capacity_ slots of storage; never point past it.
+    const size_t slots = std::min(capacity_, ring_.capacity());
+    if (next_ < slots) {
+      __builtin_prefetch(ring_.data() + next_, /*rw=*/1);
+      __builtin_prefetch(ring_.data() + std::min(next_ + 15, slots - 1),
+                         /*rw=*/1);
+    }
     __builtin_prefetch(counts_.data(), /*rw=*/1);
 #endif
   }
@@ -177,6 +182,11 @@ class SlidingWindow {
   uint64_t positive_total() const { return positive_total_; }
 
  private:
+  struct NoReserve {};
+  // The public constructor without reserving the ring: LoadState's
+  // capacity comes from the file, so it reserves nothing up front.
+  SlidingWindow(int num_bins, size_t capacity, NoReserve);
+
   void Apply(const Entry& e, int64_t sign);
 
   int num_bins_;

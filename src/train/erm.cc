@@ -16,7 +16,7 @@ Result<TrainedPredictor> ErmTrainer::Fit(const TrainData& data) {
     {
       StepSpan epoch_span(telemetry, kStepEpoch, "epoch");
       StepSpan scope(telemetry, kStepBackward);
-      linear::BceLossGrad(ctx, data.all_rows, model.params(), &grad);
+      linear::BceGrad(ctx, data.all_rows, model.params(), &grad);
       linear::AddL2(model.params(), options_.l2, &grad);
       opt->Step(grad, &model.mutable_params());
     }

@@ -17,7 +17,7 @@ Result<TrainedPredictor> FineTuneTrainer::Fit(const TrainData& data) {
     LIGHTMIRM_ASSIGN_OR_RETURN(std::unique_ptr<linear::Optimizer> opt,
                                linear::Optimizer::Create(opt_options));
     for (int epoch = 0; epoch < ft_.fine_tune_epochs; ++epoch) {
-      linear::BceLossGrad(ctx, data.env_rows[t], env_model.params(), &grad);
+      linear::BceGrad(ctx, data.env_rows[t], env_model.params(), &grad);
       linear::AddL2(env_model.params(), options_.l2, &grad);
       // Proximal pull toward the pooled solution.
       if (ft_.proximal > 0.0) {

@@ -21,6 +21,9 @@ Status LightMirmOuterGradient(const linear::LossContext& ctx,
   const size_t dim = params.size();
   std::vector<linear::ParamVec> theta_bar(num_tasks);
   std::vector<linear::ParamVec> sampled_grads(num_tasks);
+  // p_i at theta over each task's rows: the inner step computes them and
+  // the backward pass's HVP, at the same theta, reuses them.
+  std::vector<std::vector<double>> probs(num_tasks);
   out->meta_losses.assign(num_tasks, 0.0);
   obs::Histogram* env_task_seconds =
       telemetry.metrics != nullptr
@@ -36,7 +39,8 @@ Status LightMirmOuterGradient(const linear::LossContext& ctx,
     ParallelFor(0, num_tasks, 1, [&](size_t m) {
       WallTimer task_watch;
       linear::ParamVec grad_m;
-      linear::BceLossGrad(ctx, data.env_rows[m], params, &grad_m);
+      linear::BceGrad(ctx, data.env_rows[m], params, &grad_m,
+                      options.second_order ? &probs[m] : nullptr);
       theta_bar[m] = params;
       for (size_t j = 0; j < dim; ++j) {
         theta_bar[m][j] -= options.inner_lr * grad_m[j];
@@ -87,7 +91,7 @@ Status LightMirmOuterGradient(const linear::LossContext& ctx,
     if (options.second_order) {
       hvs.resize(num_tasks);
       ParallelFor(0, num_tasks, 1, [&](size_t m) {
-        linear::BceHvp(ctx, data.env_rows[m], params, sampled_grads[m],
+        linear::BceHvp(ctx, data.env_rows[m], probs[m], sampled_grads[m],
                        &hvs[m]);
       });
     }

@@ -43,6 +43,8 @@ Status MetaIrmOuterGradient(const linear::LossContext& ctx,
   const size_t dim = params.size();
   std::vector<linear::ParamVec> theta_bar(num_tasks);
   std::vector<linear::ParamVec> meta_grads(num_tasks);
+  // p_i at theta over each task's rows, from the inner step, for the HVP.
+  std::vector<std::vector<double>> probs(num_tasks);
   out->meta_losses.assign(num_tasks, 0.0);
 
   // Inner loop (Algorithm 1, lines 6-7): one gradient step per environment,
@@ -51,7 +53,8 @@ Status MetaIrmOuterGradient(const linear::LossContext& ctx,
     StepSpan scope(telemetry, kStepInnerOptimization);
     ParallelFor(0, num_tasks, 1, [&](size_t m) {
       linear::ParamVec grad_m;
-      linear::BceLossGrad(ctx, data.env_rows[m], params, &grad_m);
+      linear::BceGrad(ctx, data.env_rows[m], params, &grad_m,
+                      options.second_order ? &probs[m] : nullptr);
       theta_bar[m] = params;
       for (size_t j = 0; j < dim; ++j) {
         theta_bar[m][j] -= options.inner_lr * grad_m[j];
@@ -113,7 +116,8 @@ Status MetaIrmOuterGradient(const linear::LossContext& ctx,
     if (options.second_order) {
       hvs.resize(num_tasks);
       ParallelFor(0, num_tasks, 1, [&](size_t m) {
-        linear::BceHvp(ctx, data.env_rows[m], params, meta_grads[m], &hvs[m]);
+        linear::BceHvp(ctx, data.env_rows[m], probs[m], meta_grads[m],
+                       &hvs[m]);
       });
     }
     for (size_t m = 0; m < num_tasks; ++m) {
@@ -140,7 +144,7 @@ double MetaIrmObjective(const linear::LossContext& ctx, const TrainData& data,
   std::vector<double> meta_losses(num_tasks, 0.0);
   linear::ParamVec grad_m, theta_bar;
   for (size_t m = 0; m < num_tasks; ++m) {
-    linear::BceLossGrad(ctx, data.env_rows[m], params, &grad_m);
+    linear::BceGrad(ctx, data.env_rows[m], params, &grad_m);
     theta_bar = params;
     for (size_t j = 0; j < dim; ++j) {
       theta_bar[j] -= options.inner_lr * grad_m[j];

@@ -351,5 +351,62 @@ TEST(ColumnStoreTest, ColumnPayloadLengthCannotWrap) {
   EXPECT_EQ(chunk.status().code(), StatusCode::kIoError);
 }
 
+// A store that is only `header`: magic, version 1, then whatever fields
+// the test hand-builds.
+Status OpenHeaderOnly(const std::string& name,
+                      const std::vector<uint8_t>& header) {
+  TempFile path(name);
+  {
+    std::ofstream out(path.path(), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(header.data()),
+              static_cast<std::streamsize>(header.size()));
+  }
+  return ColumnStoreReader::Open(path.path()).status();
+}
+
+void AppendTestVarint(uint64_t value, std::vector<uint8_t>* out) {
+  while (value >= 0x80) {
+    out->push_back(static_cast<uint8_t>(value | 0x80));
+    value >>= 7;
+  }
+  out->push_back(static_cast<uint8_t>(value));
+}
+
+// Header counts come from the file: each must be bounded by the entries
+// that actually parse, not allocated up front. Allocated up front, every
+// count below throws std::length_error or std::bad_alloc out of Open.
+TEST(ColumnStoreTest, HostileFeatureCountReturnsStatus) {
+  for (const uint64_t count : {uint64_t{1} << 61, uint64_t{1} << 40}) {
+    std::vector<uint8_t> header = {'L', 'M', 'C', 'S', 0x01, 0x00};
+    AppendTestVarint(count, &header);  // features, none of them present
+    const Status status = OpenHeaderOnly("hostile_features.lmcs", header);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << count;
+  }
+}
+
+TEST(ColumnStoreTest, HostileEnvCountReturnsStatus) {
+  for (const uint64_t count : {uint64_t{1} << 61, uint64_t{1} << 36}) {
+    std::vector<uint8_t> header = {'L', 'M', 'C', 'S', 0x01, 0x00,
+                                   0x00};  // no features
+    AppendTestVarint(count, &header);     // environments, none present
+    const Status status = OpenHeaderOnly("hostile_envs.lmcs", header);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << count;
+  }
+}
+
+TEST(ColumnStoreTest, HostileGridSizeReturnsStatus) {
+  for (const uint64_t count : {uint64_t{1} << 62, uint64_t{1} << 36}) {
+    std::vector<uint8_t> header = {
+        'L', 'M', 'C', 'S', 0x01, 0x02,  // serving-grid encoding
+        0x01, 0x01, 'a', 0x00, 0x00,     // one numeric feature "a"
+        0x00,                            // no environments
+    };
+    AppendTestVarint(count, &header);  // grid values, 8 bytes present
+    header.insert(header.end(), 8, 0x00);
+    const Status status = OpenHeaderOnly("hostile_grid.lmcs", header);
+    EXPECT_EQ(status.code(), StatusCode::kIoError) << count;
+  }
+}
+
 }  // namespace
 }  // namespace lightmirm::data

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "linear/logistic.h"
@@ -101,6 +102,36 @@ TEST(BoosterTest, DeterministicGivenSeed) {
   for (size_t i = 0; i < 100; ++i) {
     EXPECT_DOUBLE_EQ(a.PredictLogit(p.features.Row(i)),
                      b.PredictLogit(p.features.Row(i)));
+  }
+}
+
+// Training updates the scores from each tree's leaf partition rather
+// than by predicting every row; the loss history, taken from those
+// scores, must equal the one recomputed from the trees' predictions bit
+// for bit. (3,000 rows: one 4,096-row loss shard, summed in row order.)
+TEST(BoosterTest, TrainingScoresEqualTreePredictions) {
+  const Binary p = MakeProblem(3000, 41);
+  const BoosterOptions options = SmallOptions();
+  const Booster booster = *Booster::Train(p.features, p.labels, options);
+  const size_t n = p.features.rows();
+  std::vector<double> scores(n, booster.base_score());
+  ASSERT_EQ(booster.train_loss_history().size(), booster.trees().size());
+  for (size_t t = 0; t < booster.trees().size(); ++t) {
+    double loss = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double prob = linear::Sigmoid(scores[i]);
+      const double y = static_cast<double>(p.labels[i]);
+      loss -= y * std::log(std::max(prob, 1e-12)) +
+              (1.0 - y) * std::log(std::max(1.0 - prob, 1e-12));
+    }
+    const double mean = loss / static_cast<double>(n);
+    uint64_t want, got;
+    std::memcpy(&want, &mean, sizeof(want));
+    std::memcpy(&got, &booster.train_loss_history()[t], sizeof(got));
+    EXPECT_EQ(got, want) << "tree " << t;
+    for (size_t i = 0; i < n; ++i) {
+      scores[i] += booster.trees()[t].Predict(p.features.Row(i));
+    }
   }
 }
 

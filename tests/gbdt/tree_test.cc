@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 
 #include "common/rng.h"
@@ -157,6 +160,122 @@ TEST(GrowTreeTest, FeatureFractionLimitsFeatures) {
     if (!node.is_leaf) used.insert(node.feature);
   }
   EXPECT_LE(used.size(), 1u);
+}
+
+bool SameBits(double a, double b) {
+  uint64_t ab, bb;
+  std::memcpy(&ab, &a, sizeof(ab));
+  std::memcpy(&bb, &b, sizeof(bb));
+  return ab == bb;
+}
+
+void ExpectSameTree(const Tree& a, const Tree& b) {
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  for (size_t i = 0; i < a.num_nodes(); ++i) {
+    const TreeNode& x = a.nodes()[i];
+    const TreeNode& y = b.nodes()[i];
+    EXPECT_EQ(x.is_leaf, y.is_leaf) << "node " << i;
+    EXPECT_EQ(x.feature, y.feature) << "node " << i;
+    EXPECT_TRUE(SameBits(x.threshold, y.threshold)) << "node " << i;
+    EXPECT_EQ(x.left, y.left) << "node " << i;
+    EXPECT_EQ(x.right, y.right) << "node " << i;
+    EXPECT_TRUE(SameBits(x.leaf_value, y.leaf_value)) << "node " << i;
+    EXPECT_EQ(x.leaf_ordinal, y.leaf_ordinal) << "node " << i;
+  }
+}
+
+// The booster adds each leaf's value to the rows GrowTree placed there
+// instead of predicting every row, so the two must agree on every row:
+// NaN rows, and rows whose value is exactly a split's bin bound.
+TEST(GrowTreeTest, LeafRowsAreTheRowsPredictLeafReaches) {
+  const size_t n = 3000;
+  Rng rng(21);
+  Matrix raw(n, 3);
+  std::vector<double> grads(n), hessians(n);
+  for (size_t i = 0; i < n; ++i) {
+    const bool missing = rng.Bernoulli(0.2);
+    raw.At(i, 0) =
+        missing ? std::numeric_limits<double>::quiet_NaN() : rng.Normal();
+    // Six values: every bin bound is a value rows hold exactly.
+    raw.At(i, 1) = static_cast<double>(rng.UniformInt(6));
+    raw.At(i, 2) = rng.Normal();
+    grads[i] = (missing ? -2.0 : (raw.At(i, 0) > 0.3 ? 1.0 : -0.5)) +
+               (raw.At(i, 1) >= 3.0 ? 1.0 : -1.0) + 0.3 * raw.At(i, 2);
+    hessians[i] = rng.Uniform(0.5, 1.5);
+  }
+  const BinnedMatrix binned = *BinnedMatrix::Build(raw, 16);
+  std::vector<size_t> every_row(n), every_third_row;
+  for (size_t i = 0; i < n; ++i) {
+    every_row[i] = i;
+    if (i % 3 == 1) every_third_row.push_back(i);
+  }
+  TreeLearnerOptions options;
+  options.max_leaves = 16;
+  options.split.min_data_in_leaf = 5;
+  for (const std::vector<size_t>* rows : {&every_row, &every_third_row}) {
+    Rng tree_rng(22);
+    std::vector<std::vector<size_t>> leaf_rows;
+    const Tree tree = *GrowTree(binned, *rows, grads, hessians, options,
+                                &tree_rng, nullptr, &leaf_rows);
+    std::set<int> split_features;
+    size_t on_bound = 0;
+    for (const TreeNode& node : tree.nodes()) {
+      if (node.is_leaf) continue;
+      split_features.insert(node.feature);
+      for (size_t r : *rows) {
+        on_bound += raw.At(r, static_cast<size_t>(node.feature)) ==
+                    node.threshold;
+      }
+    }
+    EXPECT_EQ(split_features, (std::set<int>{0, 1, 2}));
+    EXPECT_GT(on_bound, 0u);
+    ASSERT_EQ(leaf_rows.size(), static_cast<size_t>(tree.num_leaves()));
+    std::vector<size_t> placed;
+    for (size_t k = 0; k < leaf_rows.size(); ++k) {
+      for (size_t r : leaf_rows[k]) {
+        EXPECT_EQ(tree.PredictLeaf(raw.Row(r)), static_cast<int>(k))
+            << "row " << r;
+        placed.push_back(r);
+      }
+      EXPECT_TRUE(std::is_sorted(leaf_rows[k].begin(), leaf_rows[k].end()));
+    }
+    std::sort(placed.begin(), placed.end());
+    EXPECT_EQ(placed, *rows);
+  }
+}
+
+// Histograms released by one tree come back dirty to the next; Build and
+// SubtractFrom must overwrite everything the next tree reads.
+TEST(GrowTreeTest, ReusedHistogramsGrowTheSameTreeAsFreshOnes) {
+  const Problem p = MakeProblem(3000, 31);
+  std::vector<double> other_grads(p.grads.size());
+  for (size_t i = 0; i < other_grads.size(); ++i) {
+    other_grads[i] = 0.7 * p.raw.At(i, 1) - 0.2 * p.raw.At(i, 0) *
+                                                p.raw.At(i, 0);
+  }
+  TreeLearnerOptions options;
+  options.max_leaves = 12;
+  HistogramFreeList free_list;
+  Rng rng_a(5);
+  ASSERT_TRUE(GrowTree(p.binned, p.rows, p.grads, p.hessians, options,
+                       &rng_a, &free_list)
+                  .ok());
+  {
+    // The list now holds the first tree's histograms, contents and all.
+    std::unique_ptr<NodeHistogram> dirty =
+        free_list.Acquire(p.binned.num_features(), p.binned.MaxBinCount());
+    double mass = 0.0;
+    for (int b = 0; b < dirty->max_bins(); ++b) mass += dirty->At(0, b).count;
+    EXPECT_GT(mass, 0.0);
+    free_list.Release(std::move(dirty));
+  }
+  Rng rng_reused(6), rng_fresh(6);
+  const Tree reused = *GrowTree(p.binned, p.rows, other_grads, p.hessians,
+                                options, &rng_reused, &free_list);
+  const Tree fresh = *GrowTree(p.binned, p.rows, other_grads, p.hessians,
+                               options, &rng_fresh);
+  EXPECT_GT(fresh.num_leaves(), 2);
+  ExpectSameTree(reused, fresh);
 }
 
 TEST(QuantizeThresholdTest, FloatCompareMatchesDoubleCompareForFloats) {

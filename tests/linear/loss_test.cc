@@ -120,8 +120,10 @@ TEST(BceHvpTest, MatchesFiniteDifferenceOfGradient) {
   Rng rng(11);
   ParamVec v(params.size());
   for (double& x : v) x = rng.Normal();
-  ParamVec hv;
-  BceHvp(p.Ctx(), p.rows, params, v, &hv);
+  ParamVec grad, hv;
+  std::vector<double> probs;
+  BceGrad(p.Ctx(), p.rows, params, &grad, &probs);
+  BceHvp(p.Ctx(), p.rows, probs, v, &hv);
   // FD: (grad(params + h*v) - grad(params - h*v)) / 2h
   const double h = 1e-6;
   ParamVec plus = params, minus = params, gp, gm;
@@ -139,11 +141,14 @@ TEST(BceHvpTest, MatchesFiniteDifferenceOfGradient) {
 TEST(BceHvpTest, HessianIsPositiveSemiDefinite) {
   const Problem p = MakeProblem(80, 3, 12);
   const ParamVec params = RandomParams(3, 13);
+  ParamVec grad;
+  std::vector<double> probs;
+  BceGrad(p.Ctx(), p.rows, params, &grad, &probs);
   Rng rng(14);
   for (int trial = 0; trial < 20; ++trial) {
     ParamVec v(params.size()), hv;
     for (double& x : v) x = rng.Normal();
-    BceHvp(p.Ctx(), p.rows, params, v, &hv);
+    BceHvp(p.Ctx(), p.rows, probs, v, &hv);
     double quad = 0.0;
     for (size_t j = 0; j < v.size(); ++j) quad += v[j] * hv[j];
     EXPECT_GE(quad, -1e-12);

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.h"
 #include "metrics/roc.h"
@@ -83,6 +85,58 @@ TEST(KsCurveTest, PeakMatchesStatistic) {
   double peak = 0.0;
   for (const KsPoint& p : curve) peak = std::max(peak, p.gap);
   EXPECT_NEAR(peak, *KsStatistic(labels, scores), 1e-12);
+}
+
+// The index-sort KS the pair sort replaced: a permutation sorted through
+// an indirect comparator, then the same walk over runs of equal scores.
+double IndexSortKs(const std::vector<int>& labels,
+                   const std::vector<double>& scores) {
+  double num_pos = 0.0, num_neg = 0.0;
+  for (int y : labels) (y == 1 ? num_pos : num_neg) += 1.0;
+  const size_t n = labels.size();
+  std::vector<size_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return scores[a] < scores[b]; });
+  double cum_pos = 0.0, cum_neg = 0.0, best = 0.0;
+  size_t i = 0;
+  while (i < n) {
+    const double s = scores[order[i]];
+    while (i < n && scores[order[i]] == s) {
+      (labels[order[i]] == 1 ? cum_pos : cum_neg) += 1.0;
+      ++i;
+    }
+    best = std::max(best, std::abs(cum_neg / num_neg - cum_pos / num_pos));
+  }
+  return best;
+}
+
+TEST(KsTest, PairSortEqualsIndexSortWithTiesAndSignedZeros) {
+  Rng rng(29);
+  // Eleven score values, -0.0 and +0.0 among them, so almost every score
+  // is tied and the zero run mixes both signs.
+  const std::vector<double> values = {-0.3, -0.1, -0.0, 0.0, 0.0,  0.1,
+                                      0.2,  0.2,  0.5,  0.7, 1e-300};
+  for (const size_t n : {2u, 17u, 500u, 4800u}) {
+    std::vector<int> labels(n);
+    std::vector<double> scores(n);
+    for (size_t i = 0; i < n; ++i) {
+      labels[i] = i < 2 ? static_cast<int>(i) : (rng.Bernoulli(0.3) ? 1 : 0);
+      scores[i] = values[rng.UniformInt(values.size())];
+    }
+    const double want = IndexSortKs(labels, scores);
+    const double got = *KsStatistic(labels, scores);
+    uint64_t want_bits, got_bits;
+    std::memcpy(&want_bits, &want, sizeof(want));
+    std::memcpy(&got_bits, &got, sizeof(got));
+    EXPECT_EQ(got_bits, want_bits) << n << " rows";
+    // One curve point per distinct score: ±0 and the repeats merge.
+    const auto curve = *KsCurve(labels, scores);
+    EXPECT_LE(curve.size(), 8u);
+    for (size_t k = 1; k < curve.size(); ++k) {
+      EXPECT_LT(curve[k - 1].threshold, curve[k].threshold);
+    }
+  }
 }
 
 // Property: stronger class separation yields larger KS, and KS relates

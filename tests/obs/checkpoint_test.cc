@@ -97,6 +97,48 @@ TEST(SlidingWindowStateTest, RejectsCorruptState) {
   EXPECT_FALSE(SlidingWindow::LoadState(&garbage).ok());
 }
 
+// The window state as SaveState writes it, with the header's capacity,
+// cursor and ring size replaced.
+std::string WithHeader(const std::string& state, const std::string& header) {
+  return header + state.substr(state.find('\n'));
+}
+
+TEST(SlidingWindowStateTest, HostileCapacityReturnsStatus) {
+  // A capacity is a setting, not a size: a window that has seen two rows
+  // may legitimately be sized for 10^18. Loading it must not reserve that
+  // (reserving it throws std::bad_alloc).
+  SlidingWindow window(/*num_bins=*/4, /*capacity=*/8);
+  window.Add(0.25, 1);
+  window.Add(0.75, -1);
+  std::ostringstream out;
+  ASSERT_TRUE(window.SaveState(&out).ok());
+  for (const char* capacity : {"1000000000000000000", "100000000000"}) {
+    std::istringstream in(WithHeader(
+        out.str(), std::string("sliding_window 4 ") + capacity + " 2 2 2"));
+    auto restored = SlidingWindow::LoadState(&in);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored->size(), 2u);
+    restored->Add(0.5, 0);  // the ring grows as it fills
+    EXPECT_EQ(restored->size(), 3u);
+    EXPECT_EQ(restored->labeled_total(), 2u);
+  }
+}
+
+TEST(SlidingWindowStateTest, HostileRingSizeReturnsStatus) {
+  // The header claims a full ring of 10^11 entries; the ring line holds
+  // two. Reserving the claim throws std::bad_alloc instead.
+  SlidingWindow window(/*num_bins=*/4, /*capacity=*/8);
+  window.Add(0.25, 1);
+  window.Add(0.75, -1);
+  std::ostringstream out;
+  ASSERT_TRUE(window.SaveState(&out).ok());
+  std::istringstream in(WithHeader(
+      out.str(), "sliding_window 4 100000000000 0 2 100000000000"));
+  const auto restored = SlidingWindow::LoadState(&in);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(AlertStateMachineStateTest, RoundTripKeepsHysteresisState) {
   AlertStateMachine machine({0.1, 0.25, 0.2});
   machine.Update(0.3);   // -> ALERT

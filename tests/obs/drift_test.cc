@@ -185,5 +185,15 @@ TEST(ScoreReferenceTest, ParseRejectsMalformedSections) {
   }
 }
 
+TEST(ScoreReferenceTest, HostileNameCountReturnsStatus) {
+  // 10^18 names promised, none present. Reserving the count throws
+  // std::length_error instead.
+  std::istringstream in(
+      "score_reference 2 0 1000000000000000000\nglobal 1 0 1 0\n");
+  const auto parsed = ScoreReference::Parse(&in);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kIoError);
+}
+
 }  // namespace
 }  // namespace lightmirm::obs
