@@ -3,7 +3,7 @@
 // loop of the library.
 //
 //   example_loan_cli mode=generate out=loans.csv rows_per_year=4000
-//   example_loan_cli mode=train data=loans.csv model=model.txt \
+//   example_loan_cli mode=train data=loans.csv model=model.txt
 //       method=light_mirm epochs=200 threads=4
 //   example_loan_cli mode=score model=model.txt data=loans.csv
 //   example_loan_cli mode=evaluate model=model.txt data=loans.csv

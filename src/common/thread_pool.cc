@@ -8,6 +8,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
@@ -147,8 +148,12 @@ struct ThreadPool::Impl {
       std::lock_guard<std::mutex> lock(mu);
       if (err && t < error_task) {
         error_task = t;
-        error = err;
+        error = std::move(err);
       }
+      // Dropped before the task counts as complete: once Apply sees the
+      // batch done, no worker still holds (and may be the last to release)
+      // a task's exception.
+      err = nullptr;
       if (++completed == limit) done_cv.notify_all();
     }
   }
@@ -238,7 +243,7 @@ void ThreadPool::Apply(size_t num_tasks,
   {
     std::unique_lock<std::mutex> lock(impl_->mu);
     impl_->done_cv.wait(lock, [&] { return impl_->completed == num_tasks; });
-    error = impl_->error;
+    error = std::move(impl_->error);
   }
   if (telemetry) {
     const PoolMetrics& metrics = GetPoolMetrics();

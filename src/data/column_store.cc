@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -208,8 +209,7 @@ Result<ColumnStoreWriter> ColumnStoreWriter::Open(
   writer.env_names_ = std::move(env_names);
   writer.options_ = std::move(options);
 
-  std::vector<uint8_t> header;
-  AppendRaw(kMagic, sizeof(kMagic), &header);
+  std::vector<uint8_t> header(std::begin(kMagic), std::end(kMagic));
   header.push_back(kVersion);
   header.push_back(static_cast<uint8_t>(writer.options_.feature_encoding));
   AppendVarint(schema.num_features(), &header);

@@ -16,24 +16,49 @@ struct BinStats {
   double count = 0.0;
 };
 
+/// One row's gradient and hessian, gathered in a node's row order.
+struct GradHess {
+  double grad;
+  double hess;
+};
+
+/// out[i] = (grads[rows[i]], hessians[rows[i]]): the pairs Build and
+/// BuildBlock read in row order.
+void GatherGradHess(const std::vector<size_t>& rows,
+                    const std::vector<double>& grads,
+                    const std::vector<double>& hessians,
+                    std::vector<GradHess>* out);
+
 /// Histogram over all features of one node: feature-major, bin-minor.
+/// Features group into the bin store's kFeatureBlock-feature blocks, and
+/// each whole-histogram operation is a parallel loop of its block kernel.
 class NodeHistogram {
  public:
   NodeHistogram() = default;
   NodeHistogram(size_t num_features, int max_bins);
 
-  /// Replaces the histogram with the sums over `rows`. Features build in
-  /// parallel; each bin sums the rows in the given order, in fixed
-  /// 2048-row shards, and adds the shard sums in order, so the result is
-  /// bit-identical at any thread count.
+  /// Replaces the histogram with the sums over `rows`: BuildBlock for every
+  /// block, blocks in parallel.
   void Build(const BinnedMatrix& binned, const std::vector<size_t>& rows,
              const std::vector<double>& grads,
              const std::vector<double>& hessians);
+
+  /// Replaces block `block` with the sums over `rows`, whose gathered
+  /// (grad, hess) pairs are `gh`. Each bin sums the rows in the given
+  /// order, in fixed 2048-row shards, and adds the shard sums in order, so
+  /// the result does not depend on which thread runs which block.
+  void BuildBlock(size_t block, const BinnedMatrix& binned,
+                  const std::vector<size_t>& rows,
+                  const std::vector<GradHess>& gh);
 
   /// this = parent - other (the LightGBM histogram-subtraction trick: the
   /// larger child's histogram is derived from the parent's and the smaller
   /// sibling's). `parent` may be this histogram itself.
   void SubtractFrom(const NodeHistogram& parent, const NodeHistogram& other);
+
+  /// SubtractFrom on block `block` only.
+  void SubtractBlock(size_t block, const NodeHistogram& parent,
+                     const NodeHistogram& other);
 
   const BinStats& At(size_t feature, int bin) const {
     return stats_[feature * static_cast<size_t>(max_bins_) +
@@ -94,10 +119,23 @@ double LeafOutput(double grad_sum, double hess_sum, double lambda_l2);
 double NodeScore(double grad_sum, double hess_sum, double lambda_l2);
 
 /// Scans all (feature, bin) cut points and returns the best split (valid =
-/// false if nothing passes the constraints).
+/// false if nothing passes the constraints): FindBlockSplits for every
+/// block, blocks in parallel, then BestSplit.
 SplitInfo FindBestSplit(const NodeHistogram& hist,
                         const std::vector<int>& feature_num_bins,
                         double node_grad, double node_hess,
                         double node_count, const SplitOptions& options);
+
+/// Sets (*candidates)[f] to the best split on feature f for every feature
+/// of block `block`; a feature that is masked out, has fewer than two
+/// bins, or has no cut passing the constraints gets an invalid split.
+void FindBlockSplits(const NodeHistogram& hist, size_t block,
+                     const std::vector<int>& feature_num_bins,
+                     double node_grad, double node_hess, double node_count,
+                     const SplitOptions& options,
+                     std::vector<SplitInfo>* candidates);
+
+/// The first valid candidate, in feature order, with the largest gain.
+SplitInfo BestSplit(const std::vector<SplitInfo>& candidates);
 
 }  // namespace lightmirm::gbdt

@@ -179,6 +179,41 @@ TEST(ThreadPoolTest, ExceptionDoesNotPoisonPool) {
   EXPECT_EQ(calls.load(), 16);
 }
 
+// An exception whose live copies are counted.
+class CountedError : public std::runtime_error {
+ public:
+  explicit CountedError(std::atomic<int>* live)
+      : std::runtime_error("counted"), live_(live) {
+    live_->fetch_add(1);
+  }
+  CountedError(const CountedError& other)
+      : std::runtime_error(other), live_(other.live_) {
+    live_->fetch_add(1);
+  }
+  ~CountedError() override { live_->fetch_sub(1); }
+
+ private:
+  std::atomic<int>* live_;
+};
+
+// Every exception a batch threw except the one Apply rethrows is destroyed
+// before Apply returns, so no pool thread runs an exception's destructor
+// while the caller reads the one it caught.
+TEST(ThreadPoolTest, FailedTasksReleaseTheirExceptionsBeforeApplyReturns) {
+  ThreadPool pool(4);
+  std::atomic<int> live{0};
+  for (int round = 0; round < 50; ++round) {
+    try {
+      pool.Apply(64, [&](size_t) { throw CountedError(&live); });
+      FAIL() << "expected an exception";
+    } catch (const CountedError& e) {
+      EXPECT_EQ(live.load(), 1) << "round " << round;
+      EXPECT_STREQ(e.what(), "counted");
+    }
+    EXPECT_EQ(live.load(), 0) << "round " << round;
+  }
+}
+
 // Drops the calling thread, and the threads it creates afterwards (they
 // inherit its nice value), to the lowest CPU priority, so a stress test
 // soaks up idle CPU without slowing the tests ctest runs beside it.

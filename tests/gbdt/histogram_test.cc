@@ -137,7 +137,9 @@ TEST(SplitSearchTest, FeatureMaskDisablesFeatures) {
       hist,
       {binned.mapper(0).num_bins(), binned.mapper(1).num_bins()},
       total_grad, 100.0, 100.0, options);
-  if (split.valid) EXPECT_EQ(split.feature, 1);
+  if (split.valid) {
+    EXPECT_EQ(split.feature, 1);
+  }
 }
 
 TEST(LeafMathTest, OutputAndScore) {

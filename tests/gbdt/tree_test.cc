@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace lightmirm::gbdt {
 namespace {
@@ -276,6 +277,170 @@ TEST(GrowTreeTest, ReusedHistogramsGrowTheSameTreeAsFreshOnes) {
                                options, &rng_fresh);
   EXPECT_GT(fresh.num_leaves(), 2);
   ExpectSameTree(reused, fresh);
+}
+
+// GrowTree, written as a loop over the whole-histogram Build, SubtractFrom
+// and FindBestSplit, each its own parallel loop: the reference for the
+// one-pass-per-split learner.
+Tree GrowTreeStepByStep(const BinnedMatrix& binned,
+                        const std::vector<size_t>& rows,
+                        const std::vector<double>& grads,
+                        const std::vector<double>& hessians,
+                        const TreeLearnerOptions& options, Rng* rng) {
+  const size_t num_features = binned.num_features();
+  std::vector<int> num_bins(num_features);
+  for (size_t f = 0; f < num_features; ++f) {
+    num_bins[f] = binned.mapper(f).num_bins();
+  }
+  SplitOptions split_options = options.split;
+  if (options.feature_fraction < 1.0) {
+    split_options.feature_mask.assign(num_features, 0);
+    const size_t keep = std::max<size_t>(
+        1, static_cast<size_t>(options.feature_fraction *
+                               static_cast<double>(num_features)));
+    std::vector<size_t> order(num_features);
+    for (size_t f = 0; f < num_features; ++f) order[f] = f;
+    rng->Shuffle(&order);
+    for (size_t i = 0; i < keep; ++i) split_options.feature_mask[order[i]] = 1;
+  }
+  struct Leaf {
+    int node;
+    std::vector<size_t> rows;
+    double grad_sum = 0.0, hess_sum = 0.0;
+    std::unique_ptr<NodeHistogram> hist;
+    SplitInfo best;
+  };
+  auto scan = [&](Leaf* leaf) {
+    leaf->best = FindBestSplit(*leaf->hist, num_bins, leaf->grad_sum,
+                               leaf->hess_sum,
+                               static_cast<double>(leaf->rows.size()),
+                               split_options);
+  };
+  std::vector<TreeNode> nodes(1);
+  std::vector<Leaf> open(1);
+  open[0].node = 0;
+  open[0].rows = rows;
+  for (size_t r : rows) {
+    open[0].grad_sum += grads[r];
+    open[0].hess_sum += hessians[r];
+  }
+  open[0].hist = std::make_unique<NodeHistogram>(num_features,
+                                                 binned.MaxBinCount());
+  open[0].hist->Build(binned, rows, grads, hessians);
+  scan(&open[0]);
+  for (int leaves = 1; leaves < options.max_leaves; ++leaves) {
+    int pick = -1;
+    double pick_gain = 0.0;
+    for (size_t i = 0; i < open.size(); ++i) {
+      if (open[i].best.valid && open[i].best.gain > pick_gain) {
+        pick_gain = open[i].best.gain;
+        pick = static_cast<int>(i);
+      }
+    }
+    if (pick < 0) break;
+    Leaf parent = std::move(open[static_cast<size_t>(pick)]);
+    open.erase(open.begin() + pick);
+    const SplitInfo split = parent.best;
+    const size_t feature = static_cast<size_t>(split.feature);
+    Leaf left, right;
+    left.node = static_cast<int>(nodes.size());
+    right.node = left.node + 1;
+    TreeNode& node = nodes[static_cast<size_t>(parent.node)];
+    node.is_leaf = false;
+    node.feature = split.feature;
+    node.threshold = binned.mapper(feature).UpperBound(split.bin_threshold);
+    node.left = left.node;
+    node.right = right.node;
+    nodes.resize(nodes.size() + 2);
+    for (size_t r : parent.rows) {
+      const bool goes_left = binned.Bin(feature, r) <= split.bin_threshold;
+      (goes_left ? left : right).rows.push_back(r);
+    }
+    left.grad_sum = split.left_grad;
+    left.hess_sum = split.left_hess;
+    right.grad_sum = split.right_grad;
+    right.hess_sum = split.right_hess;
+    Leaf* small = left.rows.size() <= right.rows.size() ? &left : &right;
+    Leaf* large = small == &left ? &right : &left;
+    small->hist = std::make_unique<NodeHistogram>(num_features,
+                                                  binned.MaxBinCount());
+    small->hist->Build(binned, small->rows, grads, hessians);
+    large->hist = std::move(parent.hist);
+    large->hist->SubtractFrom(*large->hist, *small->hist);
+    scan(&left);
+    scan(&right);
+    open.push_back(std::move(left));
+    open.push_back(std::move(right));
+  }
+  std::sort(open.begin(), open.end(),
+            [](const Leaf& a, const Leaf& b) { return a.node < b.node; });
+  int ordinal = 0;
+  for (const Leaf& leaf : open) {
+    TreeNode& node = nodes[static_cast<size_t>(leaf.node)];
+    node.leaf_value = options.shrinkage * LeafOutput(leaf.grad_sum,
+                                                     leaf.hess_sum,
+                                                     split_options.lambda_l2);
+    node.leaf_ordinal = ordinal++;
+  }
+  return Tree(std::move(nodes));
+}
+
+// One pool pass per split (build the smaller child's block, derive the
+// larger child's block, scan both children's features in it) must grow the
+// tree the separate steps grow, node for node and bit for bit: 13 features
+// (a partial second block), a one-bin feature, NaN rows, feature
+// subsampling, and nodes on both sides of the 2048-row shard.
+TEST(GrowTreeTest, OnePassPerSplitGrowsTheStepByStepTree) {
+  const size_t n = 6000, cols = 13;
+  Rng rng(41);
+  Matrix raw(n, cols);
+  std::vector<double> grads(n), hessians(n);
+  for (size_t i = 0; i < n; ++i) {
+    const bool missing = rng.Bernoulli(0.15);
+    for (size_t c = 0; c < cols; ++c) {
+      raw.At(i, c) = c == 4            ? 1.0  // one bin
+                     : missing && c < 6 ? std::nan("")
+                                        : rng.Normal();
+    }
+    const double x0 = std::isnan(raw.At(i, 0)) ? 2.0 : raw.At(i, 0);
+    grads[i] = (x0 > 0.2 ? 1.0 : -0.7) + 0.6 * raw.At(i, 9) -
+               0.4 * (raw.At(i, 12) > -0.5 ? 1.0 : 0.0) + 0.3 * rng.Normal();
+    hessians[i] = rng.Uniform(0.2, 1.2);
+  }
+  const BinnedMatrix binned = *BinnedMatrix::Build(raw, 24);
+  ASSERT_EQ(binned.mapper(4).num_bins(), 1);
+  std::vector<size_t> every_row(n), sampled;
+  for (size_t i = 0; i < n; ++i) {
+    every_row[i] = i;
+    if (i % 5 != 2) sampled.push_back(i);
+  }
+  for (double fraction : {0.5, 1.0}) {
+    TreeLearnerOptions options;
+    options.max_leaves = 31;
+    options.split.min_data_in_leaf = 5;
+    options.feature_fraction = fraction;
+    for (const std::vector<size_t>* rows : {&every_row, &sampled}) {
+      Tree reference;
+      {
+        ScopedDefaultThreads serial(1);
+        Rng tree_rng(77);
+        reference = GrowTreeStepByStep(binned, *rows, grads, hessians,
+                                       options, &tree_rng);
+      }
+      ASSERT_GT(reference.num_leaves(), 16);
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(testing::Message()
+                     << "feature_fraction " << fraction << ", "
+                     << rows->size() << " rows, threads " << threads);
+        ScopedDefaultThreads guard(threads);
+        Rng tree_rng(77);
+        HistogramFreeList free_list;
+        const Tree fused = *GrowTree(binned, *rows, grads, hessians, options,
+                                     &tree_rng, &free_list);
+        ExpectSameTree(fused, reference);
+      }
+    }
+  }
 }
 
 TEST(QuantizeThresholdTest, FloatCompareMatchesDoubleCompareForFloats) {

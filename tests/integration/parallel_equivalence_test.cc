@@ -77,7 +77,7 @@ std::vector<gbdt::BinStats> ReferenceHistogram(
     for (size_t f = 0; f < binned.num_features(); ++f) {
       for (size_t i = begin; i < end; ++i) {
         const size_t r = rows[i];
-        gbdt::BinStats& s = partial[f * width + binned.FeatureBins(f)[r]];
+        gbdt::BinStats& s = partial[f * width + binned.Bin(f, r)];
         s.grad += grads[r];
         s.hess += hessians[r];
         s.count += 1.0;
@@ -238,8 +238,11 @@ TEST(ParallelEquivalenceTest, BinnedMatrixBuild) {
       EXPECT_EQ(built[0].mapper(f).upper_bounds(),
                 built[i].mapper(f).upper_bounds())
           << "threads=" << kThreadCounts[i] << " feature " << f;
-      EXPECT_EQ(built[0].FeatureBins(f), built[i].FeatureBins(f))
-          << "threads=" << kThreadCounts[i] << " feature " << f;
+      for (size_t r = 0; r < rows; ++r) {
+        ASSERT_EQ(built[0].Bin(f, r), built[i].Bin(f, r))
+            << "threads=" << kThreadCounts[i] << " feature " << f << " row "
+            << r;
+      }
     }
   }
 }
