@@ -10,21 +10,15 @@
 // byte for byte (core::FormatHealthTrajectory output), and Hubei +
 // Guangdong must still reach ALERT through the merge.
 //
-// Load leg: an open-loop harness offers Poisson arrivals at fixed
-// fractions of the service's measured closed-loop capacity. Requests mix
-// batch sizes (1 / 8 / 64 rows) and skew toward a hot province; request
-// latency is measured from the *scheduled* arrival time, so a stalled
-// service accumulates the delay (no coordinated omission). Reports
-// sustained rows/sec and p50/p95/p99 per offered load and writes
-// BENCH_service.json with CI gates: every point must sustain
-// min_sustained_frac of its offered load with zero shed and p99 under
-// max_p99_ms.
+// Open-loop load is perfbench's `interactive` workload (Poisson 1/8/64-row
+// requests, a hot province, latency from the scheduled send, with latency
+// windows, voided attempts and bounds), so this bench has no load leg.
 //
-// Telemetry leg (format_version 3): the same service runs with the
-// request-lifecycle instrumentation (serve/service/telemetry.h) attached
-// to a dedicated registry. The leg is a fixed schedule of sync 64-row
-// requests, sized so one pass takes about overhead_leg_ms of work (the
-// dispatcher has no batching deadline, so a pass is work, not sleep).
+// Telemetry leg: the same service runs with the request-lifecycle
+// instrumentation (serve/service/telemetry.h) attached to a dedicated
+// registry. The leg is a fixed schedule of sync 64-row requests, sized
+// so one pass takes about overhead_leg_ms of work (the dispatcher has no
+// batching deadline, so a pass is work, not sleep).
 // Rounds of three passes — telemetry on, off, and off again, in rotating
 // order — repeat overhead_iters times; the best pass of each kind gives
 // the overhead (on vs off) and its noise floor (off vs off).
@@ -33,15 +27,12 @@
 // more than 2%, so this gate fails until the telemetry cost is cut. The
 // report adds per-stage latency quantiles (queue wait, batch formation,
 // scoring, monitor feed) read from the `service.stage.*` histograms, plus
-// the slowest-request exemplars with their stage breakdowns.
+// the slowest-request exemplars with their stage breakdowns. Writes
+// BENCH_service.json (format_version 4).
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -110,36 +101,6 @@ serve::ScoreRequest RowsRequest(const data::Dataset& set,
   return request;
 }
 
-double PercentileMs(std::vector<double>* seconds, double q) {
-  std::sort(seconds->begin(), seconds->end());
-  const size_t n = seconds->size();
-  if (n == 0) return 0.0;
-  const size_t idx = std::min(
-      n - 1, static_cast<size_t>(q * static_cast<double>(n - 1) + 0.5));
-  return (*seconds)[idx] * 1e3;
-}
-
-std::vector<double> ParseLoadList(const std::string& spec) {
-  std::vector<double> out;
-  for (const std::string& token : Split(spec, ',')) {
-    const auto v = ParseDouble(token);
-    if (v.ok() && *v > 0.0) out.push_back(*v);
-  }
-  return out;
-}
-
-struct LoadPoint {
-  double target_fraction = 0.0;
-  double offered_rows_per_sec = 0.0;
-  double sustained_rows_per_sec = 0.0;
-  uint64_t requests = 0;
-  uint64_t rows = 0;
-  uint64_t shed = 0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  double p99_ms = 0.0;
-};
-
 const char* BoolName(bool value) { return value ? "true" : "false"; }
 
 struct StageQuantiles {
@@ -181,7 +142,7 @@ int main(int argc, char** argv) {
   const size_t window = static_cast<size_t>(cfg.GetInt(
       "window", std::max<int64_t>(8192, 2 * gen.rows_per_year)));
   Banner("Sharded scoring service",
-         "merged fleet health vs one monitor, plus open-loop load");
+         "merged fleet health vs one monitor, plus telemetry overhead");
 
   const data::Dataset full =
       Unwrap(data::LoanGenerator(gen).Generate(), "generating data");
@@ -284,61 +245,13 @@ int main(int argc, char** argv) {
                  "monitor\n");
   }
 
-  // ---- Closed-loop capacity probe: a few submitter threads drive sync
-  // 64-row requests back to back; the ceiling anchors the offered loads.
-  const double capacity_seconds = cfg.GetDouble("capacity_seconds", 1.0);
-  const int capacity_threads =
-      static_cast<int>(cfg.GetInt("capacity_threads", 4));
-  std::vector<std::vector<size_t>> province_rows(
-      data::LoanGenerator::ProvinceNames().size());
-  std::vector<size_t> all_rows(year2020.NumRows());
-  for (size_t i = 0; i < year2020.NumRows(); ++i) {
-    all_rows[i] = i;
-    const int env = year2020.envs()[i];
-    if (env >= 0 && static_cast<size_t>(env) < province_rows.size()) {
-      province_rows[env].push_back(i);
-    }
-  }
-  double capacity_rows_per_sec = 0.0;
-  {
-    std::atomic<uint64_t> scored_rows{0};
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> drivers;
-    WallTimer watch;
-    for (int t = 0; t < capacity_threads; ++t) {
-      drivers.emplace_back([&, t] {
-        Rng rng(gen.seed + 1000 + t);
-        std::vector<size_t> rows(64);
-        while (!stop.load(std::memory_order_relaxed)) {
-          for (size_t& row : rows) {
-            row = all_rows[rng.UniformInt(all_rows.size())];
-          }
-          const auto response = service->Score(
-              RowsRequest(year2020, rows, 5000000 + t * 100000,
-                          /*with_labels=*/false));
-          if (response.ok()) {
-            scored_rows.fetch_add(rows.size(), std::memory_order_relaxed);
-          }
-        }
-      });
-    }
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        capacity_seconds));
-    stop.store(true, std::memory_order_relaxed);
-    for (auto& t : drivers) t.join();
-    capacity_rows_per_sec =
-        static_cast<double>(scored_rows.load()) / watch.Seconds();
-  }
-  std::printf("closed-loop capacity: %.0f rows/s (%d threads, 64-row "
-              "requests)\n\n",
-              capacity_rows_per_sec, capacity_threads);
-
   // ---- Telemetry overhead leg: the same sync lifecycle with the
   // instrumentation attached vs detached. Alternating best-of-N over a
   // fixed request schedule keeps thermal / cache drift from biasing one
-  // leg; the service is already warm from the replay and capacity legs.
-  // A second telemetry-off pass per round measures the method's own noise
-  // floor, printed next to the overhead.
+  // leg; the service is already warm from the replay leg and the schedule
+  // sizing passes, and a warmup round is discarded. A second telemetry-off
+  // pass per round measures the method's own noise floor, printed next to
+  // the overhead.
   const int overhead_iters =
       static_cast<int>(cfg.GetInt("overhead_iters", 30));
   const double overhead_leg_ms = cfg.GetDouble("overhead_leg_ms", 150.0);
@@ -348,7 +261,7 @@ int main(int argc, char** argv) {
   const auto next_request = [&] {
     std::vector<size_t> rows(64);
     for (size_t& row : rows) {
-      row = all_rows[schedule_rng.UniformInt(all_rows.size())];
+      row = schedule_rng.UniformInt(year2020.NumRows());
     }
     return rows;
   };
@@ -435,122 +348,13 @@ int main(int argc, char** argv) {
                  "FAIL: scores changed when telemetry was detached\n");
   }
 
-  // ---- Open-loop load points.
-  const std::vector<double> fractions =
-      ParseLoadList(cfg.GetString("loads", "0.3,0.6"));
-  const double duration_seconds = cfg.GetDouble("duration_seconds", 2.0);
-  const double hot_share = cfg.GetDouble("hot_share", 0.4);
-  const int hot_province = guangdong;
-  // Mixed request sizes: mostly interactive singles, some mid batches, a
-  // tail of bulk 64s.
-  const std::vector<size_t> kSizes = {1, 8, 64};
-  const std::vector<double> kSizeWeights = {0.55, 0.30, 0.15};
-  double mean_rows = 0.0;
-  for (size_t i = 0; i < kSizes.size(); ++i) {
-    mean_rows += static_cast<double>(kSizes[i]) * kSizeWeights[i];
-  }
-
-  std::vector<LoadPoint> points;
-  std::printf("%-10s %14s %14s %8s %8s %8s %8s\n", "load", "offered r/s",
-              "sustained r/s", "shed", "p50 ms", "p95 ms", "p99 ms");
-  for (const double fraction : fractions) {
-    LoadPoint point;
-    point.target_fraction = fraction;
-    point.offered_rows_per_sec = fraction * capacity_rows_per_sec;
-    const double requests_per_sec = point.offered_rows_per_sec / mean_rows;
-
-    std::mutex samples_mu;
-    std::vector<double> samples;  // seconds, from scheduled arrival
-    Rng rng(gen.seed + 77);
-    const auto start = std::chrono::steady_clock::now();
-    const auto end_at =
-        start + std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(duration_seconds));
-    double offset_seconds = 0.0;
-    std::vector<size_t> rows;
-    while (true) {
-      // Poisson arrivals: exponential inter-arrival gaps at the offered
-      // request rate. The schedule never slips — if the service (or this
-      // thread) falls behind, requests burst out and the backlog shows up
-      // as latency, exactly what an open-loop generator is for.
-      offset_seconds +=
-          -std::log(1.0 - rng.Uniform()) / requests_per_sec;
-      const auto scheduled =
-          start + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(offset_seconds));
-      if (scheduled >= end_at) break;
-      std::this_thread::sleep_until(scheduled);
-
-      const size_t size = kSizes[rng.Categorical(kSizeWeights)];
-      rows.resize(size);
-      for (size_t& row : rows) {
-        // Province skew: a hot province carries `hot_share` of the
-        // traffic, so its shard-slices (and monitor windows) run hotter
-        // than uniform hashing alone would make them.
-        const std::vector<size_t>& pool =
-            (!province_rows[hot_province].empty() &&
-             rng.Bernoulli(hot_share))
-                ? province_rows[hot_province]
-                : all_rows;
-        row = pool[rng.UniformInt(pool.size())];
-      }
-      const Status submitted = service->Submit(
-          RowsRequest(year2020, rows, 9000000, /*with_labels=*/false),
-          [scheduled, size, &samples_mu,
-           &samples](Result<serve::ScoreResponse> response) {
-            const double latency =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - scheduled)
-                    .count();
-            std::lock_guard<std::mutex> lock(samples_mu);
-            if (response.ok() && response->scores.size() == size) {
-              samples.push_back(latency);
-            }
-          });
-      if (submitted.ok()) {
-        ++point.requests;
-        point.rows += size;
-      } else {
-        ++point.shed;
-      }
-    }
-    service->Flush();
-    const double window_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    point.sustained_rows_per_sec =
-        static_cast<double>(point.rows) / window_seconds;
-    {
-      std::lock_guard<std::mutex> lock(samples_mu);
-      point.p50_ms = PercentileMs(&samples, 0.50);
-      point.p95_ms = PercentileMs(&samples, 0.95);
-      point.p99_ms = PercentileMs(&samples, 0.99);
-      if (samples.size() != point.requests) {
-        std::fprintf(stderr,
-                     "FAIL: %zu of %llu accepted requests completed\n",
-                     samples.size(),
-                     static_cast<unsigned long long>(point.requests));
-        point.shed += point.requests - samples.size();
-      }
-    }
-    std::printf("%-10.2f %14.0f %14.0f %8llu %8.2f %8.2f %8.2f\n",
-                fraction, point.offered_rows_per_sec,
-                point.sustained_rows_per_sec,
-                static_cast<unsigned long long>(point.shed), point.p50_ms,
-                point.p95_ms, point.p99_ms);
-    points.push_back(point);
-  }
-
   const serve::DispatcherStats stats = service->dispatcher_stats();
   const uint64_t flushes = stats.idle_flushes + stats.explicit_flushes;
   const double rows_per_flush =
       flushes == 0 ? 0.0
                    : static_cast<double>(stats.rows) /
                          static_cast<double>(flushes);
-  std::printf("\ndispatcher: %llu requests, %llu rows, shard flushes %llu "
+  std::printf("dispatcher: %llu requests, %llu rows, shard flushes %llu "
               "idle / %llu explicit (%.1f rows each), %llu shed\n",
               static_cast<unsigned long long>(stats.requests),
               static_cast<unsigned long long>(stats.rows),
@@ -560,7 +364,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.shed_requests));
 
   // ---- Stage-latency breakdown: where time went inside the service,
-  // from the lifecycle histograms (fleet-wide, all legs above). Queue
+  // from the lifecycle histograms (fleet-wide, both legs above). Queue
   // wait and batch formation come from request stamps; scoring and
   // monitor feed from the shard batch path.
   const std::vector<StageQuantiles> stages = {
@@ -583,40 +387,12 @@ int main(int argc, char** argv) {
       service->SlowestRequests();
   std::printf("slowest-request exemplars captured: %zu\n", slowest.size());
 
-  // ---- Gates.
-  const double min_sustained_frac = cfg.GetDouble("min_sustained_frac", 0.9);
-  const double max_p99_ms = cfg.GetDouble("max_p99_ms", 100.0);
-  bool load_ok = true;
-  for (const LoadPoint& point : points) {
-    if (point.shed != 0) {
-      std::fprintf(stderr, "FAIL: load %.2f shed %llu requests\n",
-                   point.target_fraction,
-                   static_cast<unsigned long long>(point.shed));
-      load_ok = false;
-    }
-    if (point.sustained_rows_per_sec <
-        min_sustained_frac * point.offered_rows_per_sec) {
-      std::fprintf(stderr,
-                   "FAIL: load %.2f sustained %.0f rows/s below %.0f%% of "
-                   "the %.0f offered\n",
-                   point.target_fraction, point.sustained_rows_per_sec,
-                   min_sustained_frac * 100.0,
-                   point.offered_rows_per_sec);
-      load_ok = false;
-    }
-    if (point.p99_ms > max_p99_ms) {
-      std::fprintf(stderr,
-                   "FAIL: load %.2f p99 %.2f ms above the %.1f ms gate\n",
-                   point.target_fraction, point.p99_ms, max_p99_ms);
-      load_ok = false;
-    }
-  }
   const bool pass = timeline_match && hubei_alert && guangdong_alert &&
-                    load_ok && overhead_ok && scores_match;
+                    overhead_ok && scores_match;
   std::printf("verdict: %s\n", pass ? "PASS" : "FAIL");
 
   std::string json = "{\n";
-  json += "  \"format_version\": 3,\n";
+  json += "  \"format_version\": 4,\n";
   json += StrFormat("  \"rows_per_year\": %d,\n", gen.rows_per_year);
   json += StrFormat("  \"seed\": %llu,\n",
                     static_cast<unsigned long long>(gen.seed));
@@ -629,26 +405,6 @@ int main(int argc, char** argv) {
   json += StrFormat("  \"hubei_alert\": %s,\n", BoolName(hubei_alert));
   json += StrFormat("  \"guangdong_alert\": %s,\n",
                     BoolName(guangdong_alert));
-  json += StrFormat("  \"capacity_rows_per_sec\": %.1f,\n",
-                    capacity_rows_per_sec);
-  json += StrFormat("  \"mean_request_rows\": %.2f,\n", mean_rows);
-  json += StrFormat("  \"hot_province_share\": %.2f,\n", hot_share);
-  json += "  \"loads\": [\n";
-  for (size_t i = 0; i < points.size(); ++i) {
-    const LoadPoint& point = points[i];
-    json += StrFormat(
-        "    {\"fraction\": %.2f, \"offered_rows_per_sec\": %.1f, "
-        "\"sustained_rows_per_sec\": %.1f, \"requests\": %llu, "
-        "\"rows\": %llu, \"shed\": %llu, \"p50_ms\": %.4f, "
-        "\"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-        point.target_fraction, point.offered_rows_per_sec,
-        point.sustained_rows_per_sec,
-        static_cast<unsigned long long>(point.requests),
-        static_cast<unsigned long long>(point.rows),
-        static_cast<unsigned long long>(point.shed), point.p50_ms,
-        point.p95_ms, point.p99_ms, i + 1 < points.size() ? "," : "");
-  }
-  json += "  ],\n";
   json += StrFormat(
       "  \"dispatcher\": {\"requests\": %llu, \"rows\": %llu, "
       "\"idle_flushes\": %llu, \"explicit_flushes\": %llu, "

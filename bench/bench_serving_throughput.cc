@@ -176,9 +176,9 @@ int main(int argc, char** argv) {
       core::GbdtLrModel::Train(dataset, core::Method::kErm, options),
       "training model");
   const auto session = model.scoring_session();
-  const auto forest = model.compiled_forest();
-  std::printf("compiled forest: %zu nodes, %zu LR columns\n\n",
-              forest->num_nodes(), forest->num_columns());
+  const serve::QuantizedForest& forest = session->forest();
+  std::printf("forest: %zu nodes, %zu LR columns\n\n", forest.num_nodes(),
+              forest.num_columns());
 
   // One-time equivalence check across every leg before timing anything.
   const std::vector<double> legacy_scores = [&] {
@@ -319,8 +319,8 @@ int main(int argc, char** argv) {
   json += StrFormat("  \"rows\": %zu,\n", dataset.NumRows());
   json += StrFormat("  \"features\": %zu,\n", dataset.NumFeatures());
   json += StrFormat("  \"trees\": %d,\n", options.booster.num_trees);
-  json += StrFormat("  \"compiled_nodes\": %zu,\n", forest->num_nodes());
-  json += StrFormat("  \"lr_columns\": %zu,\n", forest->num_columns());
+  json += StrFormat("  \"compiled_nodes\": %zu,\n", forest.num_nodes());
+  json += StrFormat("  \"lr_columns\": %zu,\n", forest.num_columns());
   json += HardwareJsonFields();
   json += StrFormat("  \"avx2_available\": %s,\n",
                     have_avx2 ? "true" : "false");

@@ -202,11 +202,8 @@ Status GbdtLrModel::CompileForServing() {
   // The raw-feature ablation feeds dense rows straight into the LR head;
   // there is no leaf encoding to compile.
   if (use_raw_features_) return Status::OK();
-  LIGHTMIRM_ASSIGN_OR_RETURN(serve::CompiledForest forest,
-                             serve::CompiledForest::Build(*booster_));
-  forest_ = std::make_shared<const serve::CompiledForest>(std::move(forest));
   LIGHTMIRM_ASSIGN_OR_RETURN(serve::ScoringSession session,
-                             serve::ScoringSession::Create(forest_,
+                             serve::ScoringSession::Create(*booster_,
                                                            predictor_));
   session_ =
       std::make_shared<const serve::ScoringSession>(std::move(session));

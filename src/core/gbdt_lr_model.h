@@ -15,7 +15,6 @@
 #include "gbdt/leaf_encoder.h"
 #include "obs/drift.h"
 #include "obs/monitor.h"
-#include "serve/compiled_forest.h"
 #include "serve/scoring_session.h"
 #include "train/fine_tune.h"
 #include "train/group_dro.h"
@@ -122,11 +121,9 @@ class GbdtLrModel {
   Method method() const { return method_; }
   bool use_raw_features() const { return use_raw_features_; }
 
-  /// The flattened forest and batch scorer backing Predict; null for the
-  /// raw-feature ablation (which has no leaf encoding to compile).
-  std::shared_ptr<const serve::CompiledForest> compiled_forest() const {
-    return forest_;
-  }
+  /// The batch scorer backing Predict (its forest() is the serving form
+  /// of the booster); null for the raw-feature ablation, which has no leaf
+  /// encoding to compile.
   std::shared_ptr<const serve::ScoringSession> scoring_session() const {
     return session_;
   }
@@ -154,7 +151,6 @@ class GbdtLrModel {
   std::shared_ptr<const gbdt::Booster> booster_;
   std::unique_ptr<gbdt::LeafEncoder> encoder_;
   train::TrainedPredictor predictor_;
-  std::shared_ptr<const serve::CompiledForest> forest_;
   std::shared_ptr<const serve::ScoringSession> session_;
   obs::ScoreReference score_reference_;
   Method method_ = Method::kErm;

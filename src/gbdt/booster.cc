@@ -151,11 +151,15 @@ int Booster::TotalLeaves() const {
 }
 
 size_t Booster::MinFeatureCount() const {
-  int max_f = -1;
+  // In size_t: a loaded split may read feature INT_MAX.
+  size_t count = 0;
   for (const Tree& tree : trees_) {
-    max_f = std::max(max_f, tree.max_feature_index());
+    if (tree.max_feature_index() >= 0) {
+      count = std::max(count,
+                       static_cast<size_t>(tree.max_feature_index()) + 1);
+    }
   }
-  return static_cast<size_t>(max_f + 1);
+  return count;
 }
 
 }  // namespace lightmirm::gbdt

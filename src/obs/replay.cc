@@ -33,52 +33,58 @@ bool ReplayResult::ReachedAlert(int env) const {
   return WorstState(env) == AlertState::kAlert;
 }
 
-Result<ReplayResult> ReplayStream(const serve::ScoringSession& session,
-                                  ModelHealthMonitor* monitor,
-                                  const data::Dataset& stream,
-                                  const ReplayOptions& options) {
+namespace {
+
+// Each (year, half) period's rows as (chunk, row) pairs in stream order;
+// the map iterates periods chronologically. The in-RAM stream is one
+// chunk, numbered 0.
+using PeriodIndex =
+    std::map<std::pair<int, int>, std::vector<std::pair<size_t, size_t>>>;
+
+Status CheckArguments(const ModelHealthMonitor* monitor,
+                      const ReplayOptions& options) {
   if (monitor == nullptr) {
     return Status::InvalidArgument("monitor must be non-null");
-  }
-  if (stream.NumRows() == 0) {
-    return Status::InvalidArgument("empty replay stream");
   }
   if (options.batch_rows == 0) {
     return Status::InvalidArgument("batch_rows must be positive");
   }
+  return Status::OK();
+}
 
-  // Rows of each (year, half) period in dataset order; the map iterates
-  // periods chronologically.
-  std::map<std::pair<int, int>, std::vector<size_t>> periods;
-  for (size_t i = 0; i < stream.NumRows(); ++i) {
-    if (options.only_year != 0 && stream.years()[i] != options.only_year) {
-      continue;
-    }
-    periods[{stream.years()[i], stream.halves()[i]}].push_back(i);
-  }
+// The one period loop behind both entry points: scores each period in
+// batches of options.batch_rows, feeds every batch to the monitor and
+// evaluates it once per period. `chunk_at(c)` returns the dataset holding
+// chunk c's rows; each row is copied once, into its batch.
+template <typename ChunkAt>
+Result<ReplayResult> ReplayPeriods(const serve::ScoringSession& session,
+                                   ModelHealthMonitor* monitor,
+                                   const PeriodIndex& periods, size_t width,
+                                   const ReplayOptions& options,
+                                   ChunkAt chunk_at) {
   if (periods.empty()) {
     return Status::InvalidArgument("no rows to replay after the year filter");
   }
-
   ReplayResult result;
   result.periods.reserve(periods.size());
   std::vector<double> scores;
   for (const auto& [when, rows] : periods) {
-    LIGHTMIRM_ASSIGN_OR_RETURN(const data::Dataset period,
-                               stream.Select(rows));
-    for (size_t begin = 0; begin < period.NumRows();
-         begin += options.batch_rows) {
-      const size_t end =
-          std::min(period.NumRows(), begin + options.batch_rows);
-      std::vector<size_t> batch_rows(end - begin);
-      for (size_t i = begin; i < end; ++i) batch_rows[i - begin] = i;
-      LIGHTMIRM_ASSIGN_OR_RETURN(const data::Dataset batch,
-                                 period.Select(batch_rows));
-      LIGHTMIRM_RETURN_NOT_OK(
-          session.Score(batch.features(), &batch.envs(), &scores));
+    for (size_t begin = 0; begin < rows.size(); begin += options.batch_rows) {
+      const size_t n = std::min(rows.size() - begin, options.batch_rows);
+      Matrix feats(n, width);
+      std::vector<int> envs(n), labels(n);
+      for (size_t i = 0; i < n; ++i) {
+        const auto [chunk, row] = rows[begin + i];
+        LIGHTMIRM_ASSIGN_OR_RETURN(const data::Dataset* source,
+                                   chunk_at(chunk));
+        const double* src = source->features().Row(row);
+        std::copy(src, src + width, feats.Row(i));
+        envs[i] = source->envs()[row];
+        labels[i] = source->labels()[row];
+      }
+      LIGHTMIRM_RETURN_NOT_OK(session.Score(feats, &envs, &scores));
       LIGHTMIRM_RETURN_NOT_OK(monitor->ObserveBatch(
-          scores, &batch.envs(),
-          options.feed_labels ? &batch.labels() : nullptr));
+          scores, &envs, options.feed_labels ? &labels : nullptr));
     }
     ReplayPeriod replayed;
     replayed.year = when.first;
@@ -90,29 +96,44 @@ Result<ReplayResult> ReplayStream(const serve::ScoringSession& session,
   return result;
 }
 
+}  // namespace
+
+Result<ReplayResult> ReplayStream(const serve::ScoringSession& session,
+                                  ModelHealthMonitor* monitor,
+                                  const data::Dataset& stream,
+                                  const ReplayOptions& options) {
+  LIGHTMIRM_RETURN_NOT_OK(CheckArguments(monitor, options));
+  if (stream.NumRows() == 0) {
+    return Status::InvalidArgument("empty replay stream");
+  }
+  PeriodIndex periods;
+  for (size_t i = 0; i < stream.NumRows(); ++i) {
+    if (options.only_year != 0 && stream.years()[i] != options.only_year) {
+      continue;
+    }
+    periods[{stream.years()[i], stream.halves()[i]}].push_back({0, i});
+  }
+  return ReplayPeriods(
+      session, monitor, periods, stream.NumFeatures(), options,
+      [&stream](size_t) -> Result<const data::Dataset*> { return &stream; });
+}
+
 Result<ReplayResult> ReplayCompressedStream(
     const serve::ScoringSession& session, ModelHealthMonitor* monitor,
     data::ColumnStoreReader* reader, const ReplayOptions& options) {
-  if (monitor == nullptr) {
-    return Status::InvalidArgument("monitor must be non-null");
-  }
+  LIGHTMIRM_RETURN_NOT_OK(CheckArguments(monitor, options));
   if (reader == nullptr) {
     return Status::InvalidArgument("reader must be non-null");
-  }
-  if (options.batch_rows == 0) {
-    return Status::InvalidArgument("batch_rows must be positive");
   }
   if (reader->total_rows() == 0) {
     return Status::InvalidArgument("empty replay stream");
   }
-
-  // Pass 1 — build the period index from chunk headers and int columns
-  // only. The chunk index's year range skips whole chunks under a year
-  // filter; feature payloads are not touched either way. Chunks ascend and
-  // rows within a chunk ascend, so each period's row list is in global
-  // dataset order — the same order ReplayStream visits.
-  std::map<std::pair<int, int>, std::vector<std::pair<size_t, size_t>>>
-      periods;
+  // The period index comes from chunk headers and int columns only. The
+  // chunk index's year range skips whole chunks under a year filter;
+  // feature payloads are not touched either way. Chunks ascend and rows
+  // within a chunk ascend, so each period's rows are in global dataset
+  // order — the order ReplayStream visits.
+  PeriodIndex periods;
   for (size_t c = 0; c < reader->num_chunks(); ++c) {
     const data::ChunkInfo& info = reader->chunk(c);
     if (options.only_year != 0 && (info.year_min > options.only_year ||
@@ -128,48 +149,20 @@ Result<ReplayResult> ReplayCompressedStream(
       periods[{times.years[r], times.halves[r]}].push_back({c, r});
     }
   }
-  if (periods.empty()) {
-    return Status::InvalidArgument("no rows to replay after the year filter");
-  }
-
-  // Pass 2 — replay period by period, decoding a chunk only when one of
-  // its rows comes due and keeping a single decoded chunk cached (rows
-  // ascend within a period, so each period streams chunks forward).
-  const size_t d = reader->schema().num_features();
-  ReplayResult result;
-  result.periods.reserve(periods.size());
-  std::vector<double> scores;
+  // A chunk is decoded only when one of its rows comes due, and one
+  // decoded chunk stays cached (rows ascend within a period, so each
+  // period streams chunks forward).
   size_t cached_index = std::numeric_limits<size_t>::max();
   data::Dataset cached_chunk;
-  for (const auto& [when, rows] : periods) {
-    for (size_t begin = 0; begin < rows.size(); begin += options.batch_rows) {
-      const size_t end = std::min(rows.size(), begin + options.batch_rows);
-      const size_t n = end - begin;
-      Matrix feats(n, d);
-      std::vector<int> envs(n), labels(n);
-      for (size_t i = 0; i < n; ++i) {
-        const auto [chunk, row] = rows[begin + i];
+  return ReplayPeriods(
+      session, monitor, periods, reader->schema().num_features(), options,
+      [&](size_t chunk) -> Result<const data::Dataset*> {
         if (chunk != cached_index) {
           LIGHTMIRM_ASSIGN_OR_RETURN(cached_chunk, reader->ReadChunk(chunk));
           cached_index = chunk;
         }
-        const double* src = cached_chunk.features().Row(row);
-        std::copy(src, src + d, feats.Row(i));
-        envs[i] = cached_chunk.envs()[row];
-        labels[i] = cached_chunk.labels()[row];
-      }
-      LIGHTMIRM_RETURN_NOT_OK(session.Score(feats, &envs, &scores));
-      LIGHTMIRM_RETURN_NOT_OK(monitor->ObserveBatch(
-          scores, &envs, options.feed_labels ? &labels : nullptr));
-    }
-    ReplayPeriod replayed;
-    replayed.year = when.first;
-    replayed.half = when.second;
-    replayed.rows = rows.size();
-    replayed.health = monitor->Evaluate(options.registry);
-    result.periods.push_back(std::move(replayed));
-  }
-  return result;
+        return &cached_chunk;
+      });
 }
 
 }  // namespace lightmirm::obs

@@ -38,10 +38,10 @@
 namespace lightmirm::serve {
 
 /// One immutable registered version. The model (and through it the
-/// compiled forest, quantized forest, and scoring session) never mutates
-/// after Create; the monitor is the version's online state and is
-/// internally synchronized, so sharing a ModelVersion across scoring
-/// threads needs no further locking.
+/// scoring session and its forest) never mutates after Create; the
+/// monitor is the version's online state and is internally synchronized,
+/// so sharing a ModelVersion across scoring threads needs no further
+/// locking.
 class ModelVersion {
  public:
   /// Wraps a trained model. Errors when `id` is empty or the model has no

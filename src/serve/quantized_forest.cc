@@ -1,8 +1,10 @@
 #include "serve/quantized_forest.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
+#include "common/string_util.h"
 #include "gbdt/tree.h"
 
 namespace lightmirm::serve {
@@ -19,36 +21,29 @@ struct FalseNode {
   uint32_t clear;
 };
 
-// In-order DFS over one source tree: assigns leaf bits left-to-right,
-// records each leaf's LR column, and emits a FalseNode per split with the
-// left subtree's leaf set. Returns the subtree's leaf mask; sets
-// `overflow` when the tree has more than kLeafBits leaves.
+// In-order DFS over one validated source tree of at most kLeafBits
+// reachable leaves (so the recursion is at most kLeafBits - 1 deep):
+// assigns leaf bits left-to-right, records each leaf's LR column, and
+// emits a FalseNode per split with the left subtree's leaf set. Returns
+// the subtree's leaf mask.
 struct FalseNodeBuilder {
-  const std::vector<int32_t>& feature;
-  const std::vector<double>& threshold;
-  const std::vector<int32_t>& left;
-  const std::vector<int32_t>& right;
-  const std::vector<uint32_t>& leaf_col;
+  const std::vector<gbdt::TreeNode>& nodes;
+  uint32_t column_offset;
   int32_t tree;
   uint32_t* cols_by_bit;
   std::vector<FalseNode>* out;
   uint32_t next_bit = 0;
-  bool overflow = false;
 
-  uint32_t Visit(int32_t node) {
-    const size_t i = static_cast<size_t>(node);
-    if (left[i] == node) {  // leaf self-loop
-      if (next_bit >= QuantizedForest::kLeafBits) {
-        overflow = true;
-        return 0;
-      }
-      cols_by_bit[next_bit] = leaf_col[i];
+  uint32_t Visit(int node) {
+    const gbdt::TreeNode& n = nodes[static_cast<size_t>(node)];
+    if (n.is_leaf) {
+      cols_by_bit[next_bit] =
+          column_offset + static_cast<uint32_t>(n.leaf_ordinal);
       return 1u << next_bit++;
     }
-    const uint32_t l = Visit(left[i]);
-    const uint32_t r = Visit(right[i]);
-    if (overflow) return 0;
-    out->push_back({feature[i], gbdt::QuantizeThreshold(threshold[i]), tree,
+    const uint32_t l = Visit(n.left);
+    const uint32_t r = Visit(n.right);
+    out->push_back({n.feature, gbdt::QuantizeThreshold(n.threshold), tree,
                     ~l});
     return l | r;
   }
@@ -56,72 +51,145 @@ struct FalseNodeBuilder {
 
 }  // namespace
 
-QuantizedForest QuantizedForest::Build(const CompiledForest& forest) {
-  const size_t total_nodes = forest.num_nodes();
-  QuantizedForest q;
-  q.num_columns_ = forest.num_columns();
-  q.min_feature_count_ = forest.min_feature_count();
-  q.roots_ = forest.roots();
-  q.depths_ = forest.depths();
-  q.feature_ = forest.feature();
-  q.leaf_col_ = forest.leaf_col();
-  q.threshold_.reserve(total_nodes);
-  q.kids_.reserve(2 * total_nodes);
-  for (size_t i = 0; i < total_nodes; ++i) {
-    q.threshold_.push_back(gbdt::QuantizeThreshold(forest.threshold()[i]));
-    q.kids_.push_back(forest.left()[i]);
-    q.kids_.push_back(forest.right()[i]);
+Result<QuantizedForest> QuantizedForest::Build(const gbdt::Booster& booster) {
+  const std::vector<gbdt::Tree>& trees = booster.trees();
+  size_t total_nodes = 0;
+  for (const gbdt::Tree& tree : trees) total_nodes += tree.num_nodes();
+  if (total_nodes > static_cast<size_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::InvalidArgument("forest too large to compile");
   }
 
-  // False-node ("bitvector") tables: per tree an in-order leaf numbering
-  // and per split the mask of leaves its FALSE outcome rules out, sorted
-  // by (feature, ascending threshold) so the kernel sweeps each feature's
-  // nodes once per row group.
+  QuantizedForest q;
+  q.roots_.reserve(trees.size());
+  q.depths_.reserve(trees.size());
+  q.feature_.reserve(total_nodes);
+  q.threshold_.reserve(total_nodes);
+  q.kids_.reserve(2 * total_nodes);
+  q.leaf_col_.reserve(total_nodes);
+  // False-node tables: per tree an in-order leaf numbering and per split
+  // the mask of leaves its FALSE outcome rules out. Built tree by tree
+  // while every tree so far fits the mask width.
   q.bitvector_ready_ = true;
   std::vector<FalseNode> qs;
-  qs.reserve(total_nodes);
-  q.leaf_col_by_bit_.assign(forest.num_trees() * kLeafBits, 0);
-  const std::vector<int32_t>& src_feature = forest.feature();
-  const std::vector<double>& src_threshold = forest.threshold();
-  const std::vector<int32_t>& src_left = forest.left();
-  const std::vector<int32_t>& src_right = forest.right();
-  const std::vector<uint32_t>& src_leaf_col = forest.leaf_col();
-  for (size_t t = 0; t < forest.num_trees() && q.bitvector_ready_; ++t) {
-    FalseNodeBuilder builder{src_feature,
-                             src_threshold,
-                             src_left,
-                             src_right,
-                             src_leaf_col,
-                             static_cast<int32_t>(t),
-                             q.leaf_col_by_bit_.data() + t * kLeafBits,
-                             &qs};
-    builder.Visit(forest.roots()[t]);
-    if (builder.overflow) q.bitvector_ready_ = false;
+  q.leaf_col_by_bit_.assign(trees.size() * kLeafBits, 0);
+
+  size_t column_offset = 0;
+  for (size_t t = 0; t < trees.size(); ++t) {
+    const std::vector<gbdt::TreeNode>& nodes = trees[t].nodes();
+    const int num_leaves = trees[t].num_leaves();
+    if (nodes.empty()) {
+      return Status::InvalidArgument(StrFormat("tree %zu has no nodes", t));
+    }
+    const int32_t base = static_cast<int32_t>(q.feature_.size());
+    q.roots_.push_back(base);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const gbdt::TreeNode& n = nodes[i];
+      if (n.is_leaf) {
+        if (n.leaf_ordinal < 0 || n.leaf_ordinal >= num_leaves) {
+          return Status::InvalidArgument(
+              StrFormat("tree %zu node %zu: leaf ordinal %d out of range "
+                        "(%d leaves)",
+                        t, i, n.leaf_ordinal, num_leaves));
+        }
+        // Leaves self-loop so the depth-padded descent can keep stepping
+        // past them without a leaf test; feature 0 is a benign load (any
+        // tree with a split guarantees min_feature_count() >= 1, and a
+        // split-free tree has depth 0, so the row is never dereferenced).
+        const int32_t self = base + static_cast<int32_t>(i);
+        q.feature_.push_back(0);
+        q.threshold_.push_back(0.0f);
+        q.kids_.push_back(self);
+        q.kids_.push_back(self);
+        q.leaf_col_.push_back(static_cast<uint32_t>(column_offset) +
+                              static_cast<uint32_t>(n.leaf_ordinal));
+      } else {
+        if (n.feature < 0) {
+          return Status::InvalidArgument(
+              StrFormat("tree %zu node %zu: negative split feature", t, i));
+        }
+        if (n.left < 0 || n.right < 0 ||
+            static_cast<size_t>(n.left) >= nodes.size() ||
+            static_cast<size_t>(n.right) >= nodes.size()) {
+          return Status::InvalidArgument(
+              StrFormat("tree %zu node %zu: child out of range", t, i));
+        }
+        q.min_feature_count_ = std::max(
+            q.min_feature_count_, static_cast<size_t>(n.feature) + 1);
+        q.feature_.push_back(n.feature);
+        q.threshold_.push_back(gbdt::QuantizeThreshold(n.threshold));
+        q.kids_.push_back(base + n.left);
+        q.kids_.push_back(base + n.right);
+        q.leaf_col_.push_back(0);  // never read at a split
+      }
+    }
+    // Walk the tree once to find its depth (the padded trip count) and
+    // its reachable leaves. Every node must be reachable at most once — a
+    // revisit means the node graph has a cycle or a shared subtree, which
+    // would make the padded descent (and the training-side PredictLeaf)
+    // ill-defined.
+    int32_t depth = 0;
+    size_t leaves = 0;
+    {
+      std::vector<char> seen(nodes.size(), 0);
+      std::vector<std::pair<int32_t, int32_t>> stack;
+      stack.emplace_back(0, 0);
+      while (!stack.empty()) {
+        const auto [i, d] = stack.back();
+        stack.pop_back();
+        if (seen[static_cast<size_t>(i)]) {
+          return Status::InvalidArgument(
+              StrFormat("tree %zu is not a tree: node %d reachable twice",
+                        t, i));
+        }
+        seen[static_cast<size_t>(i)] = 1;
+        const gbdt::TreeNode& n = nodes[static_cast<size_t>(i)];
+        if (n.is_leaf) {
+          depth = std::max(depth, d);
+          ++leaves;
+        } else {
+          stack.emplace_back(n.left, d + 1);
+          stack.emplace_back(n.right, d + 1);
+        }
+      }
+    }
+    q.depths_.push_back(depth);
+    if (leaves > kLeafBits) q.bitvector_ready_ = false;
+    if (q.bitvector_ready_) {
+      FalseNodeBuilder builder{nodes, static_cast<uint32_t>(column_offset),
+                               static_cast<int32_t>(t),
+                               q.leaf_col_by_bit_.data() + t * kLeafBits,
+                               &qs};
+      builder.Visit(0);
+    }
+    column_offset += static_cast<size_t>(num_leaves);
   }
-  if (q.bitvector_ready_) {
-    std::stable_sort(qs.begin(), qs.end(),
-                     [](const FalseNode& a, const FalseNode& b) {
-                       if (a.feature != b.feature) {
-                         return a.feature < b.feature;
-                       }
-                       return a.threshold < b.threshold;
-                     });
-    q.qs_begin_.assign(q.min_feature_count_ + 1, 0);
-    q.qs_threshold_.reserve(qs.size());
-    q.qs_tree_.reserve(qs.size());
-    q.qs_clear_.reserve(qs.size());
-    for (const FalseNode& node : qs) {
-      ++q.qs_begin_[static_cast<size_t>(node.feature) + 1];
-      q.qs_threshold_.push_back(node.threshold);
-      q.qs_tree_.push_back(node.tree);
-      q.qs_clear_.push_back(node.clear);
-    }
-    for (size_t f = 1; f < q.qs_begin_.size(); ++f) {
-      q.qs_begin_[f] += q.qs_begin_[f - 1];
-    }
-  } else {
+  q.num_columns_ = column_offset;
+  if (!q.bitvector_ready_) {
     q.leaf_col_by_bit_.clear();
+    return q;
   }
+
+  // Sorted by (feature, ascending threshold) and cut into one run per
+  // split feature, so the kernel sweeps each feature's nodes once per row
+  // group and never visits a feature no split reads.
+  std::stable_sort(qs.begin(), qs.end(),
+                   [](const FalseNode& a, const FalseNode& b) {
+                     if (a.feature != b.feature) return a.feature < b.feature;
+                     return a.threshold < b.threshold;
+                   });
+  q.qs_threshold_.reserve(qs.size());
+  q.qs_tree_.reserve(qs.size());
+  q.qs_clear_.reserve(qs.size());
+  for (const FalseNode& node : qs) {
+    if (q.split_features_.empty() || q.split_features_.back() != node.feature) {
+      q.split_features_.push_back(node.feature);
+      q.split_begin_.push_back(static_cast<int32_t>(q.qs_threshold_.size()));
+    }
+    q.qs_threshold_.push_back(node.threshold);
+    q.qs_tree_.push_back(node.tree);
+    q.qs_clear_.push_back(node.clear);
+  }
+  q.split_begin_.push_back(static_cast<int32_t>(q.qs_threshold_.size()));
   return q;
 }
 
@@ -139,14 +207,13 @@ uint32_t QuantizedForest::LeafColumn(size_t t, const float* row) const {
 }
 
 std::vector<std::vector<float>> ScoringFeatureGrid(
-    const CompiledForest& forest) {
+    const QuantizedForest& forest) {
   std::vector<std::vector<float>> grids(forest.min_feature_count());
   for (size_t i = 0; i < forest.num_nodes(); ++i) {
-    // Leaves self-loop (left == right == own index); only real splits
-    // contribute a threshold.
-    if (forest.left()[i] == static_cast<int32_t>(i)) continue;
-    grids[static_cast<size_t>(forest.feature()[i])].push_back(
-        gbdt::QuantizeThreshold(forest.threshold()[i]));
+    // Leaves self-loop; only real splits contribute a threshold.
+    if (forest.kids_[2 * i] == static_cast<int32_t>(i)) continue;
+    grids[static_cast<size_t>(forest.feature_[i])].push_back(
+        forest.threshold_[i]);
   }
   for (std::vector<float>& grid : grids) {
     std::sort(grid.begin(), grid.end());

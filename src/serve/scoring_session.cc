@@ -79,30 +79,26 @@ size_t PlaneBufferCapacity() { return ThreadPlane().capacity(); }
 }  // namespace internal
 
 Result<ScoringSession> ScoringSession::Create(
-    std::shared_ptr<const CompiledForest> forest,
-    const train::TrainedPredictor& predictor) {
-  if (forest == nullptr) {
-    return Status::InvalidArgument("forest must be non-null");
-  }
-  const size_t want = forest->num_columns() + 1;
+    const gbdt::Booster& booster, const train::TrainedPredictor& predictor) {
+  LIGHTMIRM_ASSIGN_OR_RETURN(QuantizedForest forest,
+                             QuantizedForest::Build(booster));
+  const size_t want = forest.num_columns() + 1;
   if (predictor.global.params().size() != want) {
     return Status::InvalidArgument(
         StrFormat("global LR table has %zu params but the forest encodes "
                   "%zu columns (+1 bias)",
-                  predictor.global.params().size(), forest->num_columns()));
+                  predictor.global.params().size(), forest.num_columns()));
   }
   for (const auto& [env, model] : predictor.per_env) {
     if (model.params().size() != want) {
       return Status::InvalidArgument(
           StrFormat("env %d LR table has %zu params but the forest encodes "
                     "%zu columns (+1 bias)",
-                    env, model.params().size(), forest->num_columns()));
+                    env, model.params().size(), forest.num_columns()));
     }
   }
   ScoringSession session;
   session.forest_ = std::move(forest);
-  session.quantized_ = std::make_shared<const QuantizedForest>(
-      QuantizedForest::Build(*session.forest_));
   session.monitor_slot_ = std::make_shared<MonitorSlot>();
   session.global_ = predictor.global.params();
   for (const auto& [env, model] : predictor.per_env) {
@@ -125,11 +121,11 @@ Result<ScoringSession> ScoringSession::Create(
 
 std::optional<BatchWidthError> ScoringSession::CheckBatchWidth(
     const Matrix& raw) const {
-  if (raw.cols() >= forest_->min_feature_count()) return std::nullopt;
+  if (raw.cols() >= forest_.min_feature_count()) return std::nullopt;
   BatchWidthError error;
   error.row = 0;  // row-major batches are uniform: every row is too narrow
   error.actual_width = raw.cols();
-  error.expected_width = forest_->min_feature_count();
+  error.expected_width = forest_.min_feature_count();
   return error;
 }
 
@@ -159,9 +155,9 @@ void ScoringSession::ScoreRange(const ScoringKernel& kernel,
   }
   double acc[kRowGrain];
   std::fill(acc, acc + n, 0.0);
-  kernel.accumulate(*quantized_, plane + begin * stride, stride, n, tab, acc,
-                    MaskScratch(quantized_->num_trees()));
-  const size_t bias = quantized_->num_columns();
+  kernel.accumulate(forest_, plane + begin * stride, stride, n, tab, acc,
+                    MaskScratch(forest_.num_trees()));
+  const size_t bias = forest_.num_columns();
   for (size_t i = 0; i < n; ++i) {
     out[begin + i] = linear::Sigmoid(acc[i] + tab[i][bias]);
   }
@@ -201,7 +197,7 @@ Status ScoringSession::ScoreBatch(const ScoringSession* const* sessions,
             sessions[s]->CheckBatchWidth(raw)) {
       return WidthError(*width);
     }
-    stride = std::max(stride, sessions[s]->quantized_->min_feature_count());
+    stride = std::max(stride, sessions[s]->forest_.min_feature_count());
   }
   if (envs != nullptr && envs->size() != raw.rows()) {
     return Status::InvalidArgument(

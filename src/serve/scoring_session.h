@@ -1,4 +1,4 @@
-// ScoringSession: a reusable batch scorer over a CompiledForest. Fuses the
+// ScoringSession: a reusable batch scorer over a QuantizedForest. Fuses the
 // three passes of the legacy inference path (leaf encoding into a sparse
 // FeatureMatrix, per-row sparse dot, sigmoid) into one pass per row group —
 // sigmoid(bias + Σ_t w[leaf_col(t, row)]) — with zero heap allocations in
@@ -24,10 +24,10 @@
 
 #include "common/matrix.h"
 #include "common/result.h"
+#include "gbdt/booster.h"
 #include "linear/logistic.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
-#include "serve/compiled_forest.h"
 #include "serve/quantized_forest.h"
 #include "serve/simd_dispatch.h"
 #include "train/trainer.h"
@@ -81,16 +81,17 @@ struct ScoreStageTiming {
   uint64_t kernel_ns = 0;   ///< forest sweep + LR accumulation + sigmoid
 };
 
-/// Batch scorer binding a compiled forest to trained LR weights.
+/// Batch scorer binding a forest to trained LR weights.
 class ScoringSession {
  public:
-  /// Validates that every weight table matches the forest's column count
-  /// (params are [theta_0..theta_{cols-1}, bias]).
+  /// Builds the session's forest from `booster` (QuantizedForest::Build's
+  /// errors propagate) and validates that every weight table matches its
+  /// column count (params are [theta_0..theta_{cols-1}, bias]).
   static Result<ScoringSession> Create(
-      std::shared_ptr<const CompiledForest> forest,
+      const gbdt::Booster& booster,
       const train::TrainedPredictor& predictor);
 
-  const CompiledForest& forest() const { return *forest_; }
+  const QuantizedForest& forest() const { return forest_; }
   size_t num_env_overrides() const { return env_tables_.size(); }
 
   /// Validates the batch width against the forest once per batch (hoisted
@@ -194,8 +195,7 @@ class ScoringSession {
     std::shared_ptr<obs::ModelHealthMonitor> monitor;
   };
 
-  std::shared_ptr<const CompiledForest> forest_;
-  std::shared_ptr<const QuantizedForest> quantized_;
+  QuantizedForest forest_;
   linear::ParamVec global_;
   std::map<int, linear::ParamVec> env_tables_;
   Telemetry telemetry_;

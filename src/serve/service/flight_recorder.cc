@@ -50,20 +50,19 @@ void FlightRecorder::Record(ServiceEventType type, uint32_t shard,
   // tickets apart share it, and interleaved field stores would publish a
   // torn event under a stable sequence. No writer waits: one that finds
   // the slot busy or holding a newer event, or loses the claim, drops its
-  // event. The release fence keeps the field stores from becoming visible
-  // before kBusy does.
+  // event. Each field store is a release, so a reader that sees one of
+  // them also sees kBusy (or a later sequence) when it re-checks.
   uint64_t current = slot.seq.load(std::memory_order_relaxed);
   if (current == kBusy || current > ticket ||
       !slot.seq.compare_exchange_strong(current, kBusy,
                                         std::memory_order_relaxed)) {
     return;
   }
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.ns.store(MonotonicNanos(), std::memory_order_relaxed);
-  slot.type.store(static_cast<uint32_t>(type), std::memory_order_relaxed);
-  slot.shard.store(shard, std::memory_order_relaxed);
-  slot.a.store(a, std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+  slot.ns.store(MonotonicNanos(), std::memory_order_release);
+  slot.type.store(static_cast<uint32_t>(type), std::memory_order_release);
+  slot.shard.store(shard, std::memory_order_release);
+  slot.a.store(a, std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
   slot.seq.store(ticket, std::memory_order_release);
 }
 
@@ -76,14 +75,14 @@ std::vector<ServiceEvent> FlightRecorder::Snapshot() const {
     if (before == 0 || before == kBusy) continue;
     ServiceEvent event;
     event.seq = before;
-    event.ns = slot.ns.load(std::memory_order_relaxed);
-    event.type =
-        static_cast<ServiceEventType>(slot.type.load(std::memory_order_relaxed));
-    event.shard = slot.shard.load(std::memory_order_relaxed);
-    event.a = slot.a.load(std::memory_order_relaxed);
-    event.b = slot.b.load(std::memory_order_relaxed);
-    // The fence keeps the field loads from moving past the re-check.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads: the re-check below cannot move above them, and a
+    // field a newer writer stored makes that writer's claim visible to it.
+    event.ns = slot.ns.load(std::memory_order_acquire);
+    event.type = static_cast<ServiceEventType>(
+        slot.type.load(std::memory_order_acquire));
+    event.shard = slot.shard.load(std::memory_order_acquire);
+    event.a = slot.a.load(std::memory_order_acquire);
+    event.b = slot.b.load(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != before) continue;
     events.push_back(std::move(event));
   }

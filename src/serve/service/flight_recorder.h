@@ -1,17 +1,20 @@
 // FlightRecorder: a fixed-size lock-free ring of recent service events
 // (submits, sheds, flushes with their reason — idle or explicit — scored
 // batches, deploys, health evaluations, alerts). Producers on any thread
-// Record() with a few atomic ops plus relaxed field stores — no mutex, no
-// allocation — so the recorder can sit on the Submit hot path. When the
+// Record() with a few atomic ops plus release field stores (plain stores
+// on x86) — no mutex, no allocation — so the recorder can sit on the
+// Submit hot path. When the
 // merged fleet health transitions into ALERT the service dumps the ring
 // next to the HealthSnapshot, so a page arrives with its last-N-events
 // context ("what was the service doing right before this tripped")
 // instead of a bare threshold value.
 //
 // Each slot is a per-slot seqlock with one writer at a time: a writer
-// claims the slot by swinging its sequence to kBusy, stores the fields,
-// then publishes its ticket with a release store; readers re-check the
-// sequence after copying the fields and drop the slot on any movement.
+// claims the slot by swinging its sequence to kBusy, stores the fields
+// with release stores, then publishes its ticket with a release store;
+// readers copy the fields with acquire loads, re-check the sequence and
+// drop the slot on any movement. No standalone fence, so ThreadSanitizer
+// models every ordering the seqlock relies on.
 // A writer lapped by `capacity` tickets that finds its slot busy or
 // already holding a newer event drops its own event instead of
 // interleaving field stores with the other writer. Every slot field is an

@@ -144,9 +144,8 @@ TEST(GbdtLrModelTest, CompilesServingSessionForLeafModels) {
   const data::Dataset train = SmallTrainSet();
   const auto model = GbdtLrModel::Train(train, Method::kErm, FastOptions());
   ASSERT_TRUE(model.ok());
-  ASSERT_NE(model->compiled_forest(), nullptr);
   ASSERT_NE(model->scoring_session(), nullptr);
-  EXPECT_EQ(model->compiled_forest()->num_columns(),
+  EXPECT_EQ(model->scoring_session()->forest().num_columns(),
             static_cast<size_t>(model->booster().TotalLeaves()));
 
   GbdtLrOptions raw_options = FastOptions();
@@ -154,7 +153,6 @@ TEST(GbdtLrModelTest, CompilesServingSessionForLeafModels) {
   const auto raw_model =
       GbdtLrModel::Train(train, Method::kErm, raw_options);
   ASSERT_TRUE(raw_model.ok());
-  EXPECT_EQ(raw_model->compiled_forest(), nullptr);
   EXPECT_EQ(raw_model->scoring_session(), nullptr);
 }
 

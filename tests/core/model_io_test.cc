@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <clocale>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "data/loan_generator.h"
+#include "gbdt/serialize.h"
 
 namespace lightmirm::core {
 namespace {
@@ -216,6 +219,35 @@ TEST(ModelIoTest, MissingFileIsIoError) {
   auto r = LoadModelFromFile("/no/such/model.txt");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+}
+
+// A 101-byte booster section whose one split reads feature INT_MAX, and a
+// 100-byte one reading feature 300,000,000. Loading either through
+// FromParts, the path LoadModel takes, must neither throw nor size a table
+// by the feature id; a batch narrower than that feature is then an
+// InvalidArgument.
+TEST(ModelIoTest, HostileSplitFeatureReturnsStatus) {
+  for (const std::string feature : {"2147483647", "300000000"}) {
+    std::stringstream section("lightmirm-booster-v1\nbase_score 0\n"
+                              "num_trees 1\ntree 3\nsplit " +
+                              feature +
+                              " 0.5 1 2\nleaf 0 0.1\nleaf 1 -0.1\n");
+    const Result<gbdt::Booster> booster = gbdt::LoadBooster(&section);
+    ASSERT_TRUE(booster.ok()) << booster.status().ToString();
+    EXPECT_EQ(booster->MinFeatureCount(), std::stoull(feature) + 1);
+    train::TrainedPredictor predictor;
+    predictor.global = linear::LogisticModel(2);  // two leaf columns
+    std::optional<Result<GbdtLrModel>> model;
+    ASSERT_NO_THROW(model.emplace(GbdtLrModel::FromParts(
+        std::make_shared<const gbdt::Booster>(*booster), predictor,
+        Method::kErm, /*use_raw_features=*/false)))
+        << "feature " << feature;
+    ASSERT_TRUE(model->ok()) << model->status().ToString();
+    const auto scores =
+        (*model)->scoring_session()->Score(Matrix(2, 8), nullptr);
+    ASSERT_FALSE(scores.ok());
+    EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // Scopes LC_NUMERIC to a comma-decimal locale (see the twin helper in

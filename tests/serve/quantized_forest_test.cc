@@ -1,5 +1,8 @@
-// QuantizedForest + scoring kernel coverage: the tie-preserving float
-// threshold rounding, quantized-vs-double leaf agreement on trained
+// QuantizedForest + scoring kernel coverage: the forest Build compiles
+// from a booster has the booster's shape, follows gbdt::LeafEncoder's column
+// layout, and Build rejects malformed trees; the
+// kernel's tree sums equal the legacy sparse RowDot; the tie-preserving
+// float threshold rounding, quantized-vs-double leaf agreement on trained
 // boosters, the false-node table invariants, and randomized property tests
 // that drive both builds of the kernel (baseline ISA and -mavx2) against
 // the QuantizedForest::LeafColumn descent over adversarial inputs (NaN /
@@ -9,9 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 #include <string>
 
 #include "common/rng.h"
@@ -52,14 +57,169 @@ std::vector<SimdLevel> KernelLevels() {
   return levels;
 }
 
+// CompiledForestTest: the node arrays QuantizedForest::Build compiles from
+// a booster, and the malformed trees it refuses to compile.
+TEST(CompiledForestTest, MatchesBoosterShape) {
+  const gbdt::Booster booster = TrainSmallBooster(nullptr);
+  const QuantizedForest q = *QuantizedForest::Build(booster);
+  EXPECT_EQ(q.num_trees(), booster.trees().size());
+  EXPECT_EQ(q.num_columns(), static_cast<size_t>(booster.TotalLeaves()));
+  EXPECT_EQ(q.min_feature_count(), booster.MinFeatureCount());
+  size_t total_nodes = 0;
+  for (const gbdt::Tree& t : booster.trees()) total_nodes += t.num_nodes();
+  EXPECT_EQ(q.num_nodes(), total_nodes);
+}
+
+// The packed false-node tables agree with the compiled node arrays: one
+// entry per split, and the trees' leaf bits cover every column once.
 TEST(QuantizedForestTest, MatchesCompiledShapeAndColumns) {
   const gbdt::Booster booster = TrainSmallBooster(nullptr);
-  const CompiledForest forest = *CompiledForest::Build(booster);
-  const QuantizedForest q = QuantizedForest::Build(forest);
-  EXPECT_EQ(q.num_trees(), forest.num_trees());
-  EXPECT_EQ(q.num_nodes(), forest.num_nodes());
-  EXPECT_EQ(q.num_columns(), forest.num_columns());
-  EXPECT_EQ(q.min_feature_count(), forest.min_feature_count());
+  const QuantizedForest q = *QuantizedForest::Build(booster);
+  ASSERT_TRUE(q.bitvector_ready());
+  EXPECT_EQ(static_cast<size_t>(q.split_begin()[q.num_split_features()]),
+            q.num_nodes() - q.num_columns());
+  std::vector<uint32_t> cols;
+  for (size_t t = 0; t < q.num_trees(); ++t) {
+    const uint32_t* bits = q.leaf_col_by_bit() + t * QuantizedForest::kLeafBits;
+    cols.insert(cols.end(), bits, bits + booster.trees()[t].num_leaves());
+  }
+  std::sort(cols.begin(), cols.end());
+  std::vector<uint32_t> want(q.num_columns());
+  std::iota(want.begin(), want.end(), 0u);
+  EXPECT_EQ(cols, want);
+}
+
+// Leaf bit b of tree t is the tree's b-th leaf from the left (an in-order
+// walk); its column must be the one gbdt::LeafEncoder gives that leaf.
+TEST(QuantizedForestTest, LeafColumnsMatchLeafEncoderLayout) {
+  const gbdt::Booster booster = TrainSmallBooster(nullptr);
+  const QuantizedForest q = *QuantizedForest::Build(booster);
+  ASSERT_TRUE(q.bitvector_ready());
+  const gbdt::LeafEncoder encoder(&booster);
+  for (size_t t = 0; t < booster.trees().size(); ++t) {
+    const std::vector<gbdt::TreeNode>& nodes = booster.trees()[t].nodes();
+    const uint32_t* cols = q.leaf_col_by_bit() + t * QuantizedForest::kLeafBits;
+    size_t bit = 0;
+    const auto visit = [&](const auto& self, int i) -> void {
+      const gbdt::TreeNode& n = nodes[static_cast<size_t>(i)];
+      if (n.is_leaf) {
+        EXPECT_EQ(cols[bit++], encoder.ColumnOf(t, n.leaf_ordinal))
+            << "tree " << t << " leaf " << n.leaf_ordinal;
+        return;
+      }
+      self(self, n.left);
+      self(self, n.right);
+    };
+    visit(visit, 0);
+    EXPECT_EQ(bit, static_cast<size_t>(booster.trees()[t].num_leaves()));
+  }
+}
+
+TEST(QuantizedForestTest, FusedDotMatchesSparseRowDot) {
+  Matrix raw;
+  const gbdt::Booster booster = TrainSmallBooster(&raw);
+  const QuantizedForest q = *QuantizedForest::Build(booster);
+  const gbdt::LeafEncoder encoder(&booster);
+  const linear::FeatureMatrix encoded = *encoder.Encode(raw);
+
+  Rng rng(7);
+  std::vector<double> w(q.num_columns() + 1);
+  for (double& v : w) v = rng.Normal();
+  const size_t rows = raw.rows();
+  const size_t stride = q.min_feature_count();
+  const std::vector<const double*> tables(rows, w.data());
+  for (const SimdLevel level : KernelLevels()) {
+    const ScoringKernel& kernel = KernelFor(level);
+    std::vector<float> plane(rows * stride);
+    for (size_t r = 0; r < rows; ++r) {
+      kernel.quantize_cells(raw.Row(r), plane.data() + r * stride, stride);
+    }
+    std::vector<double> acc(rows, 0.0);
+    std::vector<uint32_t> masks(q.num_trees() * kGroupRows);
+    kernel.accumulate(q, plane.data(), stride, rows, tables.data(),
+                      acc.data(), masks.data());
+    for (size_t r = 0; r < rows; ++r) {
+      ASSERT_EQ(acc[r], encoded.RowDot(r, w))
+          << "row " << r << " kernel " << SimdLevelName(level);
+    }
+  }
+}
+
+gbdt::TreeNode Leaf(int ordinal) { return {.leaf_ordinal = ordinal}; }
+
+gbdt::TreeNode Split(int feature, int left, int right) {
+  return {.is_leaf = false, .feature = feature, .left = left, .right = right};
+}
+
+// Build rejects `nodes`, a tree a hostile or corrupt model file can hold,
+// with InvalidArgument, alone and behind a well-formed tree.
+void ExpectRejected(const char* name,
+                    const std::vector<gbdt::TreeNode>& nodes) {
+  for (const bool behind_good_tree : {false, true}) {
+    std::vector<gbdt::Tree> trees;
+    if (behind_good_tree) {
+      trees.emplace_back(
+          std::vector<gbdt::TreeNode>{Split(0, 1, 2), Leaf(0), Leaf(1)});
+    }
+    trees.emplace_back(nodes);
+    const Result<QuantizedForest> forest =
+        QuantizedForest::Build(gbdt::Booster(0.0, std::move(trees)));
+    ASSERT_FALSE(forest.ok()) << name;
+    EXPECT_EQ(forest.status().code(), StatusCode::kInvalidArgument) << name;
+  }
+}
+
+TEST(CompiledForestTest, RejectsEmptyTree) {
+  ExpectRejected("empty tree", {});
+}
+
+TEST(CompiledForestTest, RejectsLeafOrdinalOutOfRange) {
+  ExpectRejected("leaf ordinal past the leaf count", {Leaf(3)});
+  ExpectRejected("negative leaf ordinal", {Leaf(-1)});
+}
+
+TEST(CompiledForestTest, RejectsChildOutOfRange) {
+  ExpectRejected("child out of range", {Split(0, 1, 9), Leaf(0)});
+  ExpectRejected("negative child", {Split(0, -1, 1), Leaf(0)});
+}
+
+TEST(QuantizedForestTest, RejectsMalformedTrees) {
+  const struct {
+    const char* name;
+    std::vector<gbdt::TreeNode> nodes;
+  } kCases[] = {
+      {"negative split feature", {Split(-1, 1, 2), Leaf(0), Leaf(1)}},
+      {"split is its own child", {Split(0, 0, 1), Leaf(0)}},
+      {"cycle through the root",
+       {Split(0, 1, 2), Split(1, 0, 3), Leaf(0), Leaf(1)}},
+      {"shared subtree", {Split(0, 1, 1), Leaf(0)}},
+      {"shared subtree below the root",
+       {Split(0, 1, 2), Split(1, 3, 4), Split(2, 3, 4), Leaf(0), Leaf(1)}},
+  };
+  for (const auto& c : kCases) ExpectRejected(c.name, c.nodes);
+}
+
+TEST(QuantizedForestTest, SingleLeafTreeMapsToItsColumn) {
+  std::vector<gbdt::Tree> trees;
+  trees.emplace_back(std::vector<gbdt::TreeNode>{Leaf(0)});
+  trees.emplace_back(std::vector<gbdt::TreeNode>{Leaf(0)});
+  const QuantizedForest q =
+      *QuantizedForest::Build(gbdt::Booster(0.0, std::move(trees)));
+  EXPECT_EQ(q.num_columns(), 2u);
+  EXPECT_EQ(q.min_feature_count(), 0u);
+  EXPECT_EQ(q.num_split_features(), 0u);
+  const float row[] = {0.0f};
+  EXPECT_EQ(q.LeafColumn(0, row), 0u);
+  EXPECT_EQ(q.LeafColumn(1, row), 1u);
+  // The kernel reads no feature at all: each tree adds its only column.
+  const double w[] = {0.25, 0.5, 1.0};
+  const double* tables[] = {w};
+  for (const SimdLevel level : KernelLevels()) {
+    double acc = 0.0;
+    std::vector<uint32_t> masks(q.num_trees() * kGroupRows);
+    KernelFor(level).accumulate(q, row, 0, 1, tables, &acc, masks.data());
+    EXPECT_EQ(acc, 0.75) << SimdLevelName(level);
+  }
 }
 
 TEST(QuantizeThresholdTest, FloatImageNeverExceedsDouble) {
@@ -94,8 +254,7 @@ TEST(QuantizeThresholdTest, ExactOnRepresentableAndBoundaryValues) {
 TEST(QuantizedForestTest, ScalarLeafColumnsMatchDoublePathOnTrainedModel) {
   Matrix raw;
   const gbdt::Booster booster = TrainSmallBooster(&raw);
-  const CompiledForest forest = *CompiledForest::Build(booster);
-  const QuantizedForest q = QuantizedForest::Build(forest);
+  const QuantizedForest q = *QuantizedForest::Build(booster);
   const gbdt::LeafEncoder encoder(&booster);
   std::vector<float> row_f(raw.cols());
   for (size_t r = 0; r < raw.rows(); r += 13) {
@@ -241,9 +400,9 @@ TEST(SimdKernelPropertyTest, SimdMatchesScalarOnRandomForests) {
   for (int round = 0; round < 60; ++round) {
     const bool wide = round % 2 == 1;
     const RandomForestSpec spec = MakeRandomForest(&rng, wide);
-    const auto compiled = CompiledForest::Build(gbdt::Booster(0.0, spec.trees));
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    const QuantizedForest q = QuantizedForest::Build(*compiled);
+    const auto built = QuantizedForest::Build(gbdt::Booster(0.0, spec.trees));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const QuantizedForest& q = *built;
     ASSERT_EQ(q.bitvector_ready(), !wide) << "round " << round;
 
     const size_t stride = q.min_feature_count();
@@ -273,24 +432,31 @@ TEST(SimdKernelPropertyTest, BitvectorMatchesScalarOnRandomForests) {
   constexpr size_t kRows = 77;  // two whole 32-row groups + a partial one
   for (int round = 0; round < 100; ++round) {
     const RandomForestSpec spec = MakeRandomForest(&rng, /*wide=*/false);
-    const auto compiled = CompiledForest::Build(gbdt::Booster(0.0, spec.trees));
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    const QuantizedForest q = QuantizedForest::Build(*compiled);
+    const auto built = QuantizedForest::Build(gbdt::Booster(0.0, spec.trees));
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const QuantizedForest& q = *built;
     ASSERT_TRUE(q.bitvector_ready()) << "round " << round;
 
-    // The tables hold exactly the internal nodes, grouped by feature with
-    // ascending thresholds inside each group.
+    // The tables hold exactly the internal nodes, one non-empty run per
+    // split feature, features ascending, thresholds ascending in each run.
     size_t internal = 0;
-    for (size_t i = 0; i < compiled->num_nodes(); ++i) {
-      if (compiled->left()[i] != static_cast<int32_t>(i)) ++internal;
+    for (const gbdt::Tree& tree : spec.trees) {
+      for (const gbdt::TreeNode& n : tree.nodes()) internal += !n.is_leaf;
     }
-    const int32_t* begin = q.node_begin_by_feature();
-    ASSERT_EQ(static_cast<size_t>(begin[q.min_feature_count()]), internal);
-    for (size_t f = 0; f < q.min_feature_count(); ++f) {
-      ASSERT_LE(begin[f], begin[f + 1]);
-      for (int32_t j = begin[f] + 1; j < begin[f + 1]; ++j) {
+    const size_t runs = q.num_split_features();
+    const int32_t* features = q.split_features();
+    const int32_t* begin = q.split_begin();
+    ASSERT_EQ(begin[0], 0);
+    ASSERT_EQ(static_cast<size_t>(begin[runs]), internal);
+    for (size_t k = 0; k < runs; ++k) {
+      ASSERT_LT(begin[k], begin[k + 1]);
+      ASSERT_LT(static_cast<size_t>(features[k]), q.min_feature_count());
+      if (k > 0) {
+        ASSERT_LT(features[k - 1], features[k]);
+      }
+      for (int32_t j = begin[k] + 1; j < begin[k + 1]; ++j) {
         ASSERT_LE(q.sorted_threshold()[j - 1], q.sorted_threshold()[j])
-            << "round " << round << " feature " << f;
+            << "round " << round << " feature " << features[k];
       }
     }
 

@@ -109,7 +109,8 @@ TEST(ScoringSessionTest, CheckBatchWidthReportsShape) {
       core::GbdtLrModel::Train(train, core::Method::kErm, FastOptions());
   ASSERT_TRUE(model.ok());
   const auto& session = *model->scoring_session();
-  const size_t need = model->compiled_forest()->min_feature_count();
+  const size_t need =
+      model->scoring_session()->forest().min_feature_count();
   ASSERT_GT(need, 1u);
   EXPECT_FALSE(session.CheckBatchWidth(Matrix(3, need)).has_value());
   const auto error = session.CheckBatchWidth(Matrix(3, need - 1));
@@ -162,8 +163,10 @@ TEST(ScoringSessionTest, RejectsNarrowMatrix) {
   const auto model =
       core::GbdtLrModel::Train(train, core::Method::kErm, FastOptions());
   ASSERT_TRUE(model.ok());
-  ASSERT_GT(model->compiled_forest()->min_feature_count(), 1u);
-  const Matrix narrow(4, model->compiled_forest()->min_feature_count() - 1);
+  const size_t need =
+      model->scoring_session()->forest().min_feature_count();
+  ASSERT_GT(need, 1u);
+  const Matrix narrow(4, need - 1);
   const auto scores = model->scoring_session()->Score(narrow, nullptr);
   ASSERT_FALSE(scores.ok());
   EXPECT_EQ(scores.status().code(), StatusCode::kInvalidArgument);
@@ -190,14 +193,9 @@ TEST(ScoringSessionTest, RejectsMismatchedWeightWidth) {
   train::TrainedPredictor narrow;
   narrow.global = linear::LogisticModel(3);  // wrong width
   const auto session =
-      ScoringSession::Create(model->compiled_forest(), narrow);
+      ScoringSession::Create(model->booster(), narrow);
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ScoringSessionTest, RejectsNullForest) {
-  train::TrainedPredictor predictor;
-  EXPECT_FALSE(ScoringSession::Create(nullptr, predictor).ok());
 }
 
 // Regression for the monotonically-growing plane scratch: the

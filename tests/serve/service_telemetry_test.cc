@@ -442,7 +442,7 @@ TEST(ServiceTelemetryTest, TelemetryDisabledTracksNothing) {
 TEST(ServiceTelemetryTest, StageCountsAreDeterministicAcrossThreadCounts) {
   constexpr int kRequests = 24;
   const size_t width =
-      TrainModel(29).compiled_forest()->min_feature_count();
+      TrainModel(29).scoring_session()->forest().min_feature_count();
 
   struct Counts {
     uint64_t requests, score_stages, request_hist, flushes;
@@ -662,7 +662,7 @@ TEST(ServiceTelemetryTest, DeploysAndHealthTicksReachTheRecorder) {
   options.telemetry_registry = &registry;
   options.dispatcher.num_shards = 2;
   options.dispatcher.feature_width =
-      model.compiled_forest()->min_feature_count();
+      model.scoring_session()->forest().min_feature_count();
   auto service = ShardedScoringService::Create(std::move(model), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 

@@ -720,7 +720,8 @@ TEST(ServiceTest, CreateValidatesOptions) {
 
 TEST(ServiceTest, DefaultFeatureWidthComesFromTheModel) {
   core::GbdtLrModel model = TrainModel(core::Method::kErm, 6);
-  const size_t width = model.compiled_forest()->min_feature_count();
+  const size_t width =
+      model.scoring_session()->forest().min_feature_count();
   ASSERT_GT(width, 0u);
   auto service = ShardedScoringService::Create(std::move(model), {});
   ASSERT_TRUE(service.ok()) << service.status().ToString();
