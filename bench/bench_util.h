@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/experiment.h"
 #include "core/report.h"
+#include "serve/service/dispatcher.h"
 #include "serve/simd_dispatch.h"
 
 namespace lightmirm::bench {
@@ -160,6 +161,25 @@ inline void Check(const Status& status, const char* what) {
     std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
     std::exit(1);
   }
+}
+
+/// A service request for `rows` of `set`: loan id `id_base + row`, the
+/// row's features and province, and its label when `with_labels` is set.
+inline serve::ScoreRequest RowsRequest(const data::Dataset& set,
+                                       const std::vector<size_t>& rows,
+                                       int64_t id_base, bool with_labels) {
+  serve::ScoreRequest request;
+  const size_t width = set.NumFeatures();
+  request.loan_ids.reserve(rows.size());
+  request.features.reserve(rows.size() * width);
+  for (const size_t row : rows) {
+    request.loan_ids.push_back(id_base + static_cast<int64_t>(row));
+    const double* src = set.features().Row(row);
+    request.features.insert(request.features.end(), src, src + width);
+    request.envs.push_back(set.envs()[row]);
+    if (with_labels) request.labels.push_back(set.labels()[row]);
+  }
+  return request;
 }
 
 /// Prints a bench banner with the paper artifact it reproduces.

@@ -91,16 +91,12 @@ Result<Booster> LoadBooster(std::istream* in) {
         if (!(ns >> n.feature >> n.threshold >> n.left >> n.right)) {
           return Status::InvalidArgument("malformed split line: " + line);
         }
-        if (n.left < 0 || n.right < 0 ||
-            static_cast<size_t>(n.left) >= num_nodes ||
-            static_cast<size_t>(n.right) >= num_nodes) {
-          return Status::InvalidArgument("split child out of range: " + line);
-        }
       } else {
         return Status::InvalidArgument("unknown node kind: " + line);
       }
     }
     trees.emplace_back(std::move(nodes));
+    LIGHTMIRM_RETURN_NOT_OK(ValidateTree(trees.back(), t).status());
   }
   return Booster(base_score, std::move(trees));
 }

@@ -14,7 +14,8 @@ namespace lightmirm::gbdt {
 Status SaveBooster(const Booster& booster, std::ostream* out);
 Status SaveBoosterToFile(const Booster& booster, const std::string& path);
 
-/// Parses a booster previously written by SaveBooster.
+/// Parses a booster previously written by SaveBooster. Every tree must
+/// pass ValidateTree (gbdt/tree.h); InvalidArgument otherwise.
 Result<Booster> LoadBooster(std::istream* in);
 Result<Booster> LoadBoosterFromFile(const std::string& path);
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -53,6 +54,56 @@ int Tree::PredictLeaf(const double* row) const {
     idx = row[n.feature] <= n.threshold ? n.left : n.right;
   }
   return nodes_[idx].leaf_ordinal;
+}
+
+Result<int> ValidateTree(const Tree& tree, size_t index) {
+  const std::vector<TreeNode>& nodes = tree.nodes();
+  if (nodes.empty()) {
+    return Status::InvalidArgument(StrFormat("tree %zu has no nodes", index));
+  }
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const TreeNode& n = nodes[i];
+    if (n.is_leaf) {
+      if (n.leaf_ordinal < 0 || n.leaf_ordinal >= tree.num_leaves()) {
+        return Status::InvalidArgument(
+            StrFormat("tree %zu node %zu: leaf ordinal %d out of range "
+                      "(%d leaves)",
+                      index, i, n.leaf_ordinal, tree.num_leaves()));
+      }
+    } else {
+      if (n.feature < 0) {
+        return Status::InvalidArgument(
+            StrFormat("tree %zu node %zu: negative split feature", index, i));
+      }
+      if (n.left < 0 || n.right < 0 ||
+          static_cast<size_t>(n.left) >= nodes.size() ||
+          static_cast<size_t>(n.right) >= nodes.size()) {
+        return Status::InvalidArgument(
+            StrFormat("tree %zu node %zu: child out of range", index, i));
+      }
+    }
+  }
+  int depth = 0;
+  std::vector<char> seen(nodes.size(), 0);
+  std::vector<std::pair<int, int>> stack = {{0, 0}};
+  while (!stack.empty()) {
+    const auto [i, d] = stack.back();
+    stack.pop_back();
+    if (seen[static_cast<size_t>(i)]) {
+      return Status::InvalidArgument(
+          StrFormat("tree %zu is not a tree: node %d reachable twice", index,
+                    i));
+    }
+    seen[static_cast<size_t>(i)] = 1;
+    const TreeNode& n = nodes[static_cast<size_t>(i)];
+    if (n.is_leaf) {
+      depth = std::max(depth, d);
+    } else {
+      stack.emplace_back(n.left, d + 1);
+      stack.emplace_back(n.right, d + 1);
+    }
+  }
+  return depth;
 }
 
 namespace {

@@ -49,6 +49,14 @@ class Tree {
   int max_feature_index_ = -1;
 };
 
+/// What every loaded tree must be before anything descends it: at least
+/// one node; leaf ordinals in [0, num_leaves()); split features
+/// non-negative and children in range; no node reachable twice from the
+/// root (a cycle, on which Predict never returns, or a shared subtree).
+/// Returns the depth (longest root-to-leaf path in edges), or
+/// InvalidArgument naming the tree by `index`.
+Result<int> ValidateTree(const Tree& tree, size_t index);
+
 /// Largest float f with (double)f <= value: the tie-preserving float image
 /// of a double. This is the export hook the quantized serving engine
 /// (serve::QuantizedForest) builds on, applied to BOTH sides of every

@@ -198,8 +198,8 @@ class MetricsRegistry {
 };
 
 /// Process-wide switch for the built-in instrumentation sites (thread
-/// pool, loan generator, scoring sessions, trainer spans). Defaults to
-/// enabled; bench_telemetry_overhead flips it to measure the cost.
+/// pool, loan generator, scoring sessions, trainer spans, service), each
+/// read per call. Defaults to enabled; bench_overhead flips it.
 bool TelemetryEnabled();
 void SetTelemetryEnabled(bool enabled);
 

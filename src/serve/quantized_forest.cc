@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "common/string_util.h"
 #include "gbdt/tree.h"
 
 namespace lightmirm::serve {
@@ -75,22 +74,14 @@ Result<QuantizedForest> QuantizedForest::Build(const gbdt::Booster& booster) {
 
   size_t column_offset = 0;
   for (size_t t = 0; t < trees.size(); ++t) {
+    LIGHTMIRM_ASSIGN_OR_RETURN(const int depth,
+                               gbdt::ValidateTree(trees[t], t));
     const std::vector<gbdt::TreeNode>& nodes = trees[t].nodes();
-    const int num_leaves = trees[t].num_leaves();
-    if (nodes.empty()) {
-      return Status::InvalidArgument(StrFormat("tree %zu has no nodes", t));
-    }
     const int32_t base = static_cast<int32_t>(q.feature_.size());
     q.roots_.push_back(base);
     for (size_t i = 0; i < nodes.size(); ++i) {
       const gbdt::TreeNode& n = nodes[i];
       if (n.is_leaf) {
-        if (n.leaf_ordinal < 0 || n.leaf_ordinal >= num_leaves) {
-          return Status::InvalidArgument(
-              StrFormat("tree %zu node %zu: leaf ordinal %d out of range "
-                        "(%d leaves)",
-                        t, i, n.leaf_ordinal, num_leaves));
-        }
         // Leaves self-loop so the depth-padded descent can keep stepping
         // past them without a leaf test; feature 0 is a benign load (any
         // tree with a split guarantees min_feature_count() >= 1, and a
@@ -103,16 +94,6 @@ Result<QuantizedForest> QuantizedForest::Build(const gbdt::Booster& booster) {
         q.leaf_col_.push_back(static_cast<uint32_t>(column_offset) +
                               static_cast<uint32_t>(n.leaf_ordinal));
       } else {
-        if (n.feature < 0) {
-          return Status::InvalidArgument(
-              StrFormat("tree %zu node %zu: negative split feature", t, i));
-        }
-        if (n.left < 0 || n.right < 0 ||
-            static_cast<size_t>(n.left) >= nodes.size() ||
-            static_cast<size_t>(n.right) >= nodes.size()) {
-          return Status::InvalidArgument(
-              StrFormat("tree %zu node %zu: child out of range", t, i));
-        }
         q.min_feature_count_ = std::max(
             q.min_feature_count_, static_cast<size_t>(n.feature) + 1);
         q.feature_.push_back(n.feature);
@@ -122,38 +103,10 @@ Result<QuantizedForest> QuantizedForest::Build(const gbdt::Booster& booster) {
         q.leaf_col_.push_back(0);  // never read at a split
       }
     }
-    // Walk the tree once to find its depth (the padded trip count) and
-    // its reachable leaves. Every node must be reachable at most once — a
-    // revisit means the node graph has a cycle or a shared subtree, which
-    // would make the padded descent (and the training-side PredictLeaf)
-    // ill-defined.
-    int32_t depth = 0;
-    size_t leaves = 0;
-    {
-      std::vector<char> seen(nodes.size(), 0);
-      std::vector<std::pair<int32_t, int32_t>> stack;
-      stack.emplace_back(0, 0);
-      while (!stack.empty()) {
-        const auto [i, d] = stack.back();
-        stack.pop_back();
-        if (seen[static_cast<size_t>(i)]) {
-          return Status::InvalidArgument(
-              StrFormat("tree %zu is not a tree: node %d reachable twice",
-                        t, i));
-        }
-        seen[static_cast<size_t>(i)] = 1;
-        const gbdt::TreeNode& n = nodes[static_cast<size_t>(i)];
-        if (n.is_leaf) {
-          depth = std::max(depth, d);
-          ++leaves;
-        } else {
-          stack.emplace_back(n.left, d + 1);
-          stack.emplace_back(n.right, d + 1);
-        }
-      }
-    }
     q.depths_.push_back(depth);
-    if (leaves > kLeafBits) q.bitvector_ready_ = false;
+    if (trees[t].num_leaves() > static_cast<int>(kLeafBits)) {
+      q.bitvector_ready_ = false;
+    }
     if (q.bitvector_ready_) {
       FalseNodeBuilder builder{nodes, static_cast<uint32_t>(column_offset),
                                static_cast<int32_t>(t),
@@ -161,7 +114,7 @@ Result<QuantizedForest> QuantizedForest::Build(const gbdt::Booster& booster) {
                                &qs};
       builder.Visit(0);
     }
-    column_offset += static_cast<size_t>(num_leaves);
+    column_offset += static_cast<size_t>(trees[t].num_leaves());
   }
   q.num_columns_ = column_offset;
   if (!q.bitvector_ready_) {

@@ -3,8 +3,9 @@
 // serving path.
 //
 //   * Build flattens every tree into structure-of-arrays node storage, in
-//     the column layout of gbdt::LeafEncoder, and rejects malformed trees:
-//     the guard on loaded model files. Leaves self-loop and the descent is
+//     the column layout of gbdt::LeafEncoder, and rejects every tree
+//     gbdt::ValidateTree rejects, the check gbdt::LoadBooster also applies
+//     to model files. Leaves self-loop and the descent is
 //     depth-padded, so it never tests for a leaf; a NaN feature compares
 //     false and goes right, exactly like gbdt::Tree::PredictLeaf.
 //   * Thresholds are quantized double -> float with gbdt::QuantizeThreshold
@@ -38,9 +39,8 @@ namespace lightmirm::serve {
 /// [offset[t], offset[t] + num_leaves_t), leaf `l` at offset[t] + l.
 class QuantizedForest {
  public:
-  /// Flattens `booster`. Errors (InvalidArgument) on malformed trees:
-  /// empty trees, children or leaf ordinals out of range, negative split
-  /// features, or node graphs that are not trees (cycles, shared nodes).
+  /// Flattens `booster`. Errors (InvalidArgument) on any tree
+  /// gbdt::ValidateTree rejects.
   static Result<QuantizedForest> Build(const gbdt::Booster& booster);
 
   size_t num_trees() const { return roots_.size(); }

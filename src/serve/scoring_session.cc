@@ -104,18 +104,6 @@ Result<ScoringSession> ScoringSession::Create(
   for (const auto& [env, model] : predictor.per_env) {
     session.env_tables_.emplace(env, model.params());
   }
-  if (obs::TelemetryEnabled()) {
-    obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
-    session.telemetry_.batch_seconds =
-        registry->GetHistogram("serve.batch.seconds");
-    session.telemetry_.batches = registry->GetCounter("serve.batches");
-    session.telemetry_.rows_scored =
-        registry->GetCounter("serve.rows_scored");
-    session.telemetry_.override_hits =
-        registry->GetCounter("serve.env_override.hits");
-    session.telemetry_.override_misses =
-        registry->GetCounter("serve.env_override.misses");
-  }
   return session;
 }
 
@@ -132,8 +120,8 @@ std::optional<BatchWidthError> ScoringSession::CheckBatchWidth(
 void ScoringSession::ScoreRange(const ScoringKernel& kernel,
                                 const float* plane, size_t stride,
                                 size_t begin, size_t end,
-                                const std::vector<int>* envs,
-                                double* out) const {
+                                const std::vector<int>* envs, double* out,
+                                bool telemetry) const {
   // Resolve each row's weight table once up front; the kernel then only
   // chases preresolved pointers. A range is at most kRowGrain rows (the
   // shard grain), so the pointer and accumulator blocks live on the stack.
@@ -149,9 +137,14 @@ void ScoringSession::ScoreRange(const ScoringKernel& kernel,
       hits += tab[i] != global_table ? 1 : 0;
     }
   }
-  if (telemetry_.override_hits != nullptr && !env_tables_.empty()) {
-    telemetry_.override_hits->Increment(hits);
-    telemetry_.override_misses->Increment(n - hits);
+  if (telemetry && !env_tables_.empty()) {
+    static obs::Counter* const hit_counter =
+        obs::MetricsRegistry::Global()->GetCounter("serve.env_override.hits");
+    static obs::Counter* const miss_counter =
+        obs::MetricsRegistry::Global()->GetCounter(
+            "serve.env_override.misses");
+    hit_counter->Increment(hits);
+    miss_counter->Increment(n - hits);
   }
   double acc[kRowGrain];
   std::fill(acc, acc + n, 0.0);
@@ -180,6 +173,10 @@ Status ScoringSession::ScoreBatch(const ScoringSession* const* sessions,
                                   const std::vector<int>* envs,
                                   std::vector<double>* const* outs,
                                   ScoreStageTiming* stages) {
+  WallTimer batch_watch;
+  // Read once per call, so a switch flipped between calls reaches every
+  // session, whenever it was created.
+  const bool telemetry = obs::TelemetryEnabled();
   size_t stride = 0;
   for (size_t s = 0; s < num_sessions; ++s) {
     if (outs[s] == nullptr) {
@@ -229,7 +226,7 @@ Status ScoringSession::ScoreBatch(const ScoringSession* const* sessions,
                                           : Clock::time_point{};
         for (size_t s = 0; s < num_sessions; ++s) {
           sessions[s]->ScoreRange(kernel, plane, stride, begin, end, envs,
-                                  outs[s]->data());
+                                  outs[s]->data(), telemetry);
         }
         if (stages != nullptr) {
           const auto t2 = Clock::now();
@@ -251,20 +248,29 @@ Status ScoringSession::ScoreBatch(const ScoringSession* const* sessions,
     stages->convert_ns = convert_ns.load(std::memory_order_relaxed);
     stages->kernel_ns = kernel_ns.load(std::memory_order_relaxed);
   }
+  if (telemetry) {
+    // Global-registry handles, resolved once and valid forever.
+    obs::MetricsRegistry* registry = obs::MetricsRegistry::Global();
+    static obs::Counter* const batches = registry->GetCounter("serve.batches");
+    static obs::Counter* const rows_scored =
+        registry->GetCounter("serve.rows_scored");
+    static obs::Histogram* const batch_seconds =
+        registry->GetHistogram("serve.batch.seconds");
+    const double seconds = batch_watch.Seconds();
+    for (size_t s = 0; s < num_sessions; ++s) {
+      batches->Increment();
+      rows_scored->Increment(raw.rows());
+      batch_seconds->Record(seconds);
+    }
+  }
   return Status::OK();
 }
 
 Status ScoringSession::Score(const Matrix& raw, const std::vector<int>* envs,
                              std::vector<double>* out,
                              ScoreStageTiming* stages) const {
-  WallTimer batch_watch;
   const ScoringSession* session = this;
   LIGHTMIRM_RETURN_NOT_OK(ScoreBatch(&session, 1, raw, envs, &out, stages));
-  if (telemetry_.batches != nullptr) {
-    telemetry_.batches->Increment();
-    telemetry_.rows_scored->Increment(raw.rows());
-    telemetry_.batch_seconds->Record(batch_watch.Seconds());
-  }
   if (const std::shared_ptr<obs::ModelHealthMonitor> monitor =
           this->monitor();
       monitor != nullptr) {
@@ -279,19 +285,9 @@ Status ScoringSession::ScoreShadow(const ScoringSession& champion,
                                    const std::vector<int>* envs,
                                    std::vector<double>* champion_out,
                                    std::vector<double>* challenger_out) {
-  WallTimer batch_watch;
   const ScoringSession* sessions[2] = {&champion, &challenger};
   std::vector<double>* outs[2] = {champion_out, challenger_out};
-  LIGHTMIRM_RETURN_NOT_OK(ScoreBatch(sessions, 2, raw, envs, outs));
-  const double seconds = batch_watch.Seconds();
-  for (const ScoringSession* session : sessions) {
-    if (session->telemetry_.batches != nullptr) {
-      session->telemetry_.batches->Increment();
-      session->telemetry_.rows_scored->Increment(raw.rows());
-      session->telemetry_.batch_seconds->Record(seconds);
-    }
-  }
-  return Status::OK();
+  return ScoreBatch(sessions, 2, raw, envs, outs);
 }
 
 Status ScoringSession::AttachMonitor(

@@ -156,6 +156,8 @@ class ScoringSession {
   /// per batch, no separate conversion pass. The plane is laid out at the
   /// widest session's stride and indexed through it explicitly, so cells
   /// (and scores) are bit-identical however many sessions share the batch.
+  /// Records one `serve.*` batch per session when obs::TelemetryEnabled()
+  /// is on at the call.
   static Status ScoreBatch(const ScoringSession* const* sessions,
                            size_t num_sessions, const Matrix& raw,
                            const std::vector<int>* envs,
@@ -163,30 +165,20 @@ class ScoringSession {
                            ScoreStageTiming* stages = nullptr);
 
   /// Scores rows [begin, end) (one shard, <= the shard grain) of the
-  /// shared float plane with `kernel` against the per-env/global tables.
-  /// Factored out of Score so the shadow path can interleave two sessions
-  /// inside one shard dispatch.
+  /// shared float plane with `kernel` against the per-env/global tables,
+  /// counting env override hits when `telemetry` is on. Factored out of
+  /// Score so the shadow path can interleave two sessions inside one shard
+  /// dispatch.
   void ScoreRange(const ScoringKernel& kernel, const float* plane,
                   size_t stride, size_t begin, size_t end,
-                  const std::vector<int>* envs, double* out) const;
+                  const std::vector<int>* envs, double* out,
+                  bool telemetry) const;
 
   /// Weight lookup for one row's environment (legacy override semantics).
   const linear::ParamVec& TableFor(int env) const {
     const auto it = env_tables_.find(env);
     return it != env_tables_.end() ? it->second : global_;
   }
-
-  /// Serving metrics (global registry handles, resolved once at Create
-  /// when telemetry is enabled; all null otherwise): batch latency
-  /// histogram `serve.batch.seconds`, counters `serve.batches`,
-  /// `serve.rows_scored` and `serve.env_override.{hits,misses}`.
-  struct Telemetry {
-    obs::Histogram* batch_seconds = nullptr;
-    obs::Counter* batches = nullptr;
-    obs::Counter* rows_scored = nullptr;
-    obs::Counter* override_hits = nullptr;
-    obs::Counter* override_misses = nullptr;
-  };
 
   /// Synchronized monitor holder, heap-allocated so the session stays
   /// movable (Create returns by value).
@@ -198,7 +190,6 @@ class ScoringSession {
   QuantizedForest forest_;
   linear::ParamVec global_;
   std::map<int, linear::ParamVec> env_tables_;
-  Telemetry telemetry_;
   std::shared_ptr<MonitorSlot> monitor_slot_;
 };
 

@@ -7,7 +7,7 @@
 // recording on the hot path is pure atomic updates, never a registry name
 // resolution. The dispatcher and service call the On* hooks; every hook
 // is cheap enough for the Submit path and all of them no-op the histogram
-// work when obs::TelemetryEnabled() is off. bench_service's telemetry leg
+// work when obs::TelemetryEnabled() is off. bench_overhead's service leg
 // measures exactly that switch against a 2% budget; the lifecycle
 // currently costs more than that (README "Watching the service").
 #pragma once

@@ -1,6 +1,6 @@
 // QuantizedForest + scoring kernel coverage: the forest Build compiles
 // from a booster has the booster's shape, follows gbdt::LeafEncoder's column
-// layout, and Build rejects malformed trees; the
+// layout, and Build and gbdt::LoadBooster reject malformed trees; the
 // kernel's tree sums equal the legacy sparse RowDot; the tie-preserving
 // float threshold rounding, quantized-vs-double leaf agreement on trained
 // boosters, the false-node table invariants, and randomized property tests
@@ -17,10 +17,12 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <string>
 
 #include "common/rng.h"
 #include "gbdt/leaf_encoder.h"
+#include "gbdt/serialize.h"
 #include "gbdt/tree.h"
 #include "serve/simd_dispatch.h"
 #include "serve/simd_kernel.h"
@@ -152,7 +154,9 @@ gbdt::TreeNode Split(int feature, int left, int right) {
 }
 
 // Build rejects `nodes`, a tree a hostile or corrupt model file can hold,
-// with InvalidArgument, alone and behind a well-formed tree.
+// with InvalidArgument, alone and behind a well-formed tree; so does
+// LoadBooster reading it back from SaveBooster's text, before anything
+// (LeafEncoder on the training path) descends it.
 void ExpectRejected(const char* name,
                     const std::vector<gbdt::TreeNode>& nodes) {
   for (const bool behind_good_tree : {false, true}) {
@@ -162,10 +166,16 @@ void ExpectRejected(const char* name,
           std::vector<gbdt::TreeNode>{Split(0, 1, 2), Leaf(0), Leaf(1)});
     }
     trees.emplace_back(nodes);
-    const Result<QuantizedForest> forest =
-        QuantizedForest::Build(gbdt::Booster(0.0, std::move(trees)));
+    const gbdt::Booster booster(0.0, std::move(trees));
+    const Result<QuantizedForest> forest = QuantizedForest::Build(booster);
     ASSERT_FALSE(forest.ok()) << name;
     EXPECT_EQ(forest.status().code(), StatusCode::kInvalidArgument) << name;
+
+    std::stringstream text;
+    ASSERT_TRUE(gbdt::SaveBooster(booster, &text).ok()) << name;
+    const Result<gbdt::Booster> loaded = gbdt::LoadBooster(&text);
+    ASSERT_FALSE(loaded.ok()) << name;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << name;
   }
 }
 

@@ -422,6 +422,18 @@ TEST(ServiceTelemetryTest, TelemetryDisabledTracksNothing) {
   options.dispatcher.feature_width = batch.NumFeatures();
   auto service = ShardedScoringService::Create(std::move(model), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
+  // The shards score through a session built while telemetry was on; the
+  // switch must reach it too, so the global `serve.*` metrics stay put.
+  const auto serve_counts = [] {
+    obs::MetricsRegistry* global = obs::MetricsRegistry::Global();
+    return std::vector<uint64_t>{
+        global->GetCounter("serve.batches")->Value(),
+        global->GetCounter("serve.rows_scored")->Value(),
+        global->GetCounter("serve.env_override.hits")->Value(),
+        global->GetCounter("serve.env_override.misses")->Value(),
+        global->GetHistogram("serve.batch.seconds")->Count()};
+  };
+  const std::vector<uint64_t> serve_before = serve_counts();
   obs::SetTelemetryEnabled(false);
   ASSERT_TRUE(
       (*service)
@@ -433,6 +445,7 @@ TEST(ServiceTelemetryTest, TelemetryDisabledTracksNothing) {
   EXPECT_EQ(registry.GetHistogram("service.request.seconds")->Count(), 0u);
   EXPECT_TRUE((*service)->SlowestRequests().empty());
   EXPECT_EQ((*service)->flight_recorder()->recorded(), 0u);
+  EXPECT_EQ(serve_counts(), serve_before);
 }
 
 // Lifecycle counts are a pure function of the request stream: the same
