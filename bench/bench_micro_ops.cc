@@ -38,7 +38,7 @@ void BM_BceLossGradSparse(benchmark::State& state) {
   for (auto& y : labels) y = rng.Bernoulli(0.1) ? 1 : 0;
   linear::ParamVec params(2001, 0.01);
   const linear::LossContext ctx{&x, &labels, nullptr};
-  const std::vector<size_t> all = linear::AllRows(rows);
+  const linear::RowSet all(x, linear::AllRows(rows));
   linear::ParamVec grad;
   for (auto _ : state) {
     benchmark::DoNotOptimize(linear::BceLossGrad(ctx, all, params, &grad));
@@ -55,7 +55,7 @@ void BM_BceHvpSparse(benchmark::State& state) {
   for (auto& y : labels) y = rng.Bernoulli(0.1) ? 1 : 0;
   linear::ParamVec params(2001, 0.01), v(2001, 0.5), grad, hv;
   const linear::LossContext ctx{&x, &labels, nullptr};
-  const std::vector<size_t> all = linear::AllRows(rows);
+  const linear::RowSet all(x, linear::AllRows(rows));
   std::vector<double> probs;
   linear::BceGrad(ctx, all, params, &grad, &probs);
   for (auto _ : state) {

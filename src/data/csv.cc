@@ -1,10 +1,33 @@
 #include "data/csv.h"
 
 #include <fstream>
+#include <limits>
 
 #include "common/string_util.h"
 
 namespace lightmirm::data {
+namespace {
+
+// The label, env, year and half cells hold ints; a value outside int is an
+// error naming its line, never a silent narrowing.
+Result<int> ParseIntCell(const std::string& cell, const char* column,
+                         size_t lineno) {
+  const Result<int64_t> v = ParseInt(cell);
+  if (!v.ok()) {
+    return Status(v.status().code(),
+                  StrFormat("line %zu: %s: %s", lineno, column,
+                            v.status().message().c_str()));
+  }
+  if (*v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max()) {
+    return Status::OutOfRange(StrFormat(
+        "line %zu: %s %s is outside the int range", lineno, column,
+        cell.c_str()));
+  }
+  return static_cast<int>(*v);
+}
+
+}  // namespace
 
 Status WriteCsv(const Dataset& dataset, const std::string& path) {
   std::ofstream out(path);
@@ -60,14 +83,18 @@ Result<Dataset> ReadCsv(const std::string& path) {
           StrFormat("line %zu: expected %zu cells, got %zu", lineno, 4 + d,
                     cells.size()));
     }
-    LIGHTMIRM_ASSIGN_OR_RETURN(const int64_t label, ParseInt(cells[0]));
-    LIGHTMIRM_ASSIGN_OR_RETURN(const int64_t env, ParseInt(cells[1]));
-    LIGHTMIRM_ASSIGN_OR_RETURN(const int64_t year, ParseInt(cells[2]));
-    LIGHTMIRM_ASSIGN_OR_RETURN(const int64_t half, ParseInt(cells[3]));
-    labels.push_back(static_cast<int>(label));
-    envs.push_back(static_cast<int>(env));
-    years.push_back(static_cast<int>(year));
-    halves.push_back(static_cast<int>(half));
+    LIGHTMIRM_ASSIGN_OR_RETURN(const int label,
+                               ParseIntCell(cells[0], "label", lineno));
+    LIGHTMIRM_ASSIGN_OR_RETURN(const int env,
+                               ParseIntCell(cells[1], "env", lineno));
+    LIGHTMIRM_ASSIGN_OR_RETURN(const int year,
+                               ParseIntCell(cells[2], "year", lineno));
+    LIGHTMIRM_ASSIGN_OR_RETURN(const int half,
+                               ParseIntCell(cells[3], "half", lineno));
+    labels.push_back(label);
+    envs.push_back(env);
+    years.push_back(year);
+    halves.push_back(half);
     for (size_t j = 0; j < d; ++j) {
       LIGHTMIRM_ASSIGN_OR_RETURN(const double v, ParseDouble(cells[4 + j]));
       values.push_back(v);

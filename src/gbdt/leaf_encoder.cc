@@ -22,19 +22,23 @@ Result<linear::FeatureMatrix> LeafEncoder::Encode(const Matrix& raw) const {
         StrFormat("matrix has %zu columns but the booster reads feature %zu",
                   raw.cols(), need - 1));
   }
-  std::vector<std::vector<uint32_t>> rows(raw.rows());
   const auto& trees = booster_->trees();
-  // Row-parallel leaf encoding: each row writes only its own slot.
+  const size_t num_trees = trees.size();
+  // One flat CSR, one entry per (row, tree).
+  std::vector<size_t> row_offsets(raw.rows() + 1);
+  for (size_t r = 0; r <= raw.rows(); ++r) row_offsets[r] = r * num_trees;
+  std::vector<uint32_t> ids(raw.rows() * num_trees);
+  // Row-parallel leaf encoding: each row writes only its own slots.
   ParallelFor(0, raw.rows(), 1024, [&](size_t r) {
-    rows[r].reserve(trees.size());
     const double* raw_row = raw.Row(r);
-    for (size_t t = 0; t < trees.size(); ++t) {
+    uint32_t* row_ids = ids.data() + r * num_trees;
+    for (size_t t = 0; t < num_trees; ++t) {
       const int leaf = trees[t].PredictLeaf(raw_row);
-      rows[r].push_back(static_cast<uint32_t>(ColumnOf(t, leaf)));
+      row_ids[t] = static_cast<uint32_t>(ColumnOf(t, leaf));
     }
   });
-  return linear::FeatureMatrix::FromSparseBinary(num_columns_,
-                                                 std::move(rows));
+  return linear::FeatureMatrix::FromSparseBinary(
+      num_columns_, std::move(row_offsets), std::move(ids));
 }
 
 }  // namespace lightmirm::gbdt

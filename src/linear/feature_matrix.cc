@@ -16,12 +16,21 @@ FeatureMatrix FeatureMatrix::FromDense(Matrix dense) {
 }
 
 Result<FeatureMatrix> FeatureMatrix::FromSparseBinary(
-    size_t cols, std::vector<std::vector<uint32_t>> row_active) {
-  for (size_t r = 0; r < row_active.size(); ++r) {
-    for (uint32_t c : row_active[r]) {
-      if (c >= cols) {
+    size_t cols, std::vector<size_t> row_offsets, std::vector<uint32_t> ids) {
+  if (row_offsets.empty() || row_offsets.front() != 0 ||
+      row_offsets.back() != ids.size()) {
+    return Status::InvalidArgument(
+        "row offsets must start at 0 and end at the id count");
+  }
+  for (size_t r = 0; r + 1 < row_offsets.size(); ++r) {
+    if (row_offsets[r + 1] < row_offsets[r]) {
+      return Status::InvalidArgument(
+          StrFormat("row %zu: offsets decrease", r));
+    }
+    for (size_t k = row_offsets[r]; k < row_offsets[r + 1]; ++k) {
+      if (ids[k] >= cols) {
         return Status::OutOfRange(
-            StrFormat("row %zu: column %u out of range (%zu cols)", r, c,
+            StrFormat("row %zu: column %u out of range (%zu cols)", r, ids[k],
                       cols));
       }
     }
@@ -29,8 +38,22 @@ Result<FeatureMatrix> FeatureMatrix::FromSparseBinary(
   FeatureMatrix fm;
   fm.dense_mode_ = false;
   fm.cols_ = cols;
-  fm.sparse_rows_ = std::move(row_active);
+  fm.row_offsets_ = std::move(row_offsets);
+  fm.ids_ = std::move(ids);
   return fm;
+}
+
+Result<FeatureMatrix> FeatureMatrix::FromSparseBinary(
+    size_t cols, const std::vector<std::vector<uint32_t>>& row_active) {
+  std::vector<size_t> row_offsets;
+  row_offsets.reserve(row_active.size() + 1);
+  row_offsets.push_back(0);
+  std::vector<uint32_t> ids;
+  for (const std::vector<uint32_t>& active : row_active) {
+    ids.insert(ids.end(), active.begin(), active.end());
+    row_offsets.push_back(ids.size());
+  }
+  return FromSparseBinary(cols, std::move(row_offsets), std::move(ids));
 }
 
 double FeatureMatrix::RowDot(size_t r, const std::vector<double>& w) const {
@@ -42,7 +65,9 @@ double FeatureMatrix::RowDot(size_t r, const std::vector<double>& w) const {
     return acc;
   }
   double acc = 0.0;
-  for (uint32_t c : sparse_rows_[r]) acc += w[c];
+  for (size_t k = row_offsets_[r]; k < row_offsets_[r + 1]; ++k) {
+    acc += w[ids_[k]];
+  }
   return acc;
 }
 
@@ -67,9 +92,9 @@ void FeatureMatrix::RowDots(const size_t* rows, size_t count,
       size_t len[kRowBlock];
       size_t shared = SIZE_MAX;
       for (size_t j = 0; j < kRowBlock; ++j) {
-        const std::vector<uint32_t>& active = sparse_rows_[rows[i + j]];
-        idx[j] = active.data();
-        len[j] = active.size();
+        const size_t r = rows[i + j];
+        idx[j] = ids_.data() + row_offsets_[r];
+        len[j] = row_offsets_[r + 1] - row_offsets_[r];
         shared = std::min(shared, len[j]);
       }
       for (size_t k = 0; k < shared; ++k) {
@@ -84,18 +109,6 @@ void FeatureMatrix::RowDots(const size_t* rows, size_t count,
   for (; i < count; ++i) out[i] = RowDot(rows[i], w);
 }
 
-void FeatureMatrix::AddScaledRow(size_t r, double a,
-                                 std::vector<double>* out) const {
-  assert(out->size() >= cols());
-  if (a == 0.0) return;
-  if (dense_mode_) {
-    const double* row = dense_.Row(r);
-    for (size_t c = 0; c < dense_.cols(); ++c) (*out)[c] += a * row[c];
-    return;
-  }
-  for (uint32_t c : sparse_rows_[r]) (*out)[c] += a;
-}
-
 double FeatureMatrix::MeanRowNnz() const {
   if (rows() == 0) return 0.0;
   if (dense_mode_) {
@@ -108,9 +121,7 @@ double FeatureMatrix::MeanRowNnz() const {
     }
     return static_cast<double>(nnz) / static_cast<double>(dense_.rows());
   }
-  size_t nnz = 0;
-  for (const auto& row : sparse_rows_) nnz += row.size();
-  return static_cast<double>(nnz) / static_cast<double>(sparse_rows_.size());
+  return static_cast<double>(ids_.size()) / static_cast<double>(rows());
 }
 
 }  // namespace lightmirm::linear

@@ -2,12 +2,15 @@
 // regression head. Two storage modes:
 //   * dense rows (raw numeric features), and
 //   * sparse-binary rows (the multi-hot GBDT leaf encoding of §III-C, where
-//     each row has exactly one active column per tree).
-// Sparse-binary mode makes the LR gradient and Hessian-vector kernels cost
-// O(active entries) instead of O(columns).
+//     each row has exactly one active column per tree), kept as one flat
+//     CSR: row offsets plus uint32 column ids.
+// Sparse-binary mode makes the LR dot products cost O(active entries)
+// instead of O(columns); the gradient side sums along a RowSet's column
+// index (linear/row_set.h).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -23,14 +26,22 @@ class FeatureMatrix {
   /// Wraps a dense matrix.
   static FeatureMatrix FromDense(Matrix dense);
 
-  /// Builds a sparse-binary matrix with `cols` columns; row r has value 1.0
-  /// at every index in `row_active[r]` and 0 elsewhere. Errors if any index
-  /// is out of range.
+  /// Builds a sparse-binary matrix with `cols` columns from CSR arrays:
+  /// row r has value 1.0 at every id in
+  /// ids[row_offsets[r], row_offsets[r + 1]) and 0 elsewhere. Errors unless
+  /// row_offsets starts at 0, never decreases and ends at ids.size(), and
+  /// every id is below `cols`.
   static Result<FeatureMatrix> FromSparseBinary(
-      size_t cols, std::vector<std::vector<uint32_t>> row_active);
+      size_t cols, std::vector<size_t> row_offsets,
+      std::vector<uint32_t> ids);
+
+  /// The same from one id list per row: row r has value 1.0 at every index
+  /// in `row_active[r]`.
+  static Result<FeatureMatrix> FromSparseBinary(
+      size_t cols, const std::vector<std::vector<uint32_t>>& row_active);
 
   size_t rows() const {
-    return dense_mode_ ? dense_.rows() : sparse_rows_.size();
+    return dense_mode_ ? dense_.rows() : row_offsets_.size() - 1;
   }
   size_t cols() const { return dense_mode_ ? dense_.cols() : cols_; }
   bool dense_mode() const { return dense_mode_; }
@@ -49,14 +60,11 @@ class FeatureMatrix {
   void RowDots(const size_t* rows, size_t count, const std::vector<double>& w,
                double* out) const;
 
-  /// out[j] += a * X[r][j] for all j. `out` must have at least cols()
-  /// entries.
-  void AddScaledRow(size_t r, double a, std::vector<double>* out) const;
-
-  /// Active column indices of a sparse row (empty span semantics for dense
-  /// mode — call only when !dense_mode()).
-  const std::vector<uint32_t>& SparseRow(size_t r) const {
-    return sparse_rows_[r];
+  /// Active column indices of a sparse row, in stored order (call only
+  /// when !dense_mode()).
+  std::span<const uint32_t> SparseRow(size_t r) const {
+    return {ids_.data() + row_offsets_[r],
+            row_offsets_[r + 1] - row_offsets_[r]};
   }
 
   /// The dense matrix (call only when dense_mode()).
@@ -69,7 +77,8 @@ class FeatureMatrix {
   bool dense_mode_ = true;
   Matrix dense_;
   size_t cols_ = 0;
-  std::vector<std::vector<uint32_t>> sparse_rows_;
+  std::vector<size_t> row_offsets_;
+  std::vector<uint32_t> ids_;
 };
 
 }  // namespace lightmirm::linear

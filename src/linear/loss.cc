@@ -19,30 +19,43 @@ double RowWeight(const LossContext& ctx, size_t r) {
 // products of each block are taken together before the block's rows are
 // visited.
 template <typename Fn>
-void ForEachRowDot(const FeatureMatrix& x, const std::vector<size_t>& rows,
+void ForEachRowDot(const LossContext& ctx, const RowSet& rows,
                    const std::vector<double>& w, Fn&& fn) {
+  assert(ctx.x != nullptr && ctx.labels != nullptr && !rows.empty());
+  assert(&rows.matrix() == ctx.x && w.size() == ctx.x->cols() + 1);
   constexpr size_t kBlock = FeatureMatrix::kRowBlock;
+  const std::vector<size_t>& list = rows.rows();
   double dots[kBlock];
-  for (size_t begin = 0; begin < rows.size(); begin += kBlock) {
-    const size_t count = std::min(kBlock, rows.size() - begin);
-    x.RowDots(rows.data() + begin, count, w, dots);
+  for (size_t begin = 0; begin < list.size(); begin += kBlock) {
+    const size_t count = std::min(kBlock, list.size() - begin);
+    ctx.x->RowDots(list.data() + begin, count, w, dots);
     for (size_t k = 0; k < count; ++k) {
-      fn(begin + k, rows[begin + k], dots[k]);
+      fn(begin + k, list[begin + k], dots[k]);
     }
   }
+}
+
+// out = (1/W) [ sum_i coeffs[i] x_i ; bias ]: the column sums, then the
+// bias sum the row pass took, all scaled by the inverse total weight.
+void FinishGradient(const RowSet& rows, const std::vector<double>& coeffs,
+                    double bias, double total_w, std::vector<double>* out) {
+  rows.ColumnSums(coeffs.data(), out->data());
+  out->back() = bias;
+  const double inv_w = 1.0 / total_w;
+  for (double& g : *out) g *= inv_w;
 }
 
 // The gradient (and, with kWithLoss, the loss) of the mean BCE; one body
 // so BceGrad's gradient is BceLossGrad's bit for bit.
 template <bool kWithLoss>
-double BceGradImpl(const LossContext& ctx, const std::vector<size_t>& rows,
+double BceGradImpl(const LossContext& ctx, const RowSet& rows,
                    const ParamVec& params, ParamVec* grad,
                    std::vector<double>* probs) {
-  assert(ctx.x != nullptr && ctx.labels != nullptr && !rows.empty());
-  grad->assign(params.size(), 0.0);
+  grad->resize(params.size());
   if (probs != nullptr) probs->resize(rows.size());
-  double loss = 0.0, total_w = 0.0;
-  ForEachRowDot(*ctx.x, rows, params, [&](size_t i, size_t r, double dot) {
+  std::vector<double> residuals(rows.size());
+  double loss = 0.0, bias = 0.0, total_w = 0.0;
+  ForEachRowDot(ctx, rows, params, [&](size_t i, size_t r, double dot) {
     const double w = RowWeight(ctx, r);
     const double p = Sigmoid(dot + params.back());
     if (probs != nullptr) (*probs)[i] = p;
@@ -50,23 +63,20 @@ double BceGradImpl(const LossContext& ctx, const std::vector<size_t>& rows,
     if constexpr (kWithLoss) {
       loss -= w * (y == 1 ? SafeLog(p) : SafeLog(1.0 - p));
     }
-    const double residual = w * (p - static_cast<double>(y));
-    ctx.x->AddScaledRow(r, residual, grad);
-    grad->back() += residual;
+    residuals[i] = w * (p - static_cast<double>(y));
+    bias += residuals[i];
     total_w += w;
   });
-  const double inv_w = 1.0 / total_w;
-  for (double& g : *grad) g *= inv_w;
-  return loss * inv_w;
+  FinishGradient(rows, residuals, bias, total_w, grad);
+  return loss * (1.0 / total_w);
 }
 
 }  // namespace
 
-double BceLoss(const LossContext& ctx, const std::vector<size_t>& rows,
+double BceLoss(const LossContext& ctx, const RowSet& rows,
                const ParamVec& params) {
-  assert(ctx.x != nullptr && ctx.labels != nullptr && !rows.empty());
   double loss = 0.0, total_w = 0.0;
-  ForEachRowDot(*ctx.x, rows, params, [&](size_t, size_t r, double dot) {
+  ForEachRowDot(ctx, rows, params, [&](size_t, size_t r, double dot) {
     const double w = RowWeight(ctx, r);
     const double p = Sigmoid(dot + params.back());
     const int y = (*ctx.labels)[r];
@@ -76,35 +86,33 @@ double BceLoss(const LossContext& ctx, const std::vector<size_t>& rows,
   return loss / total_w;
 }
 
-double BceLossGrad(const LossContext& ctx, const std::vector<size_t>& rows,
+double BceLossGrad(const LossContext& ctx, const RowSet& rows,
                    const ParamVec& params, ParamVec* grad) {
   return BceGradImpl<true>(ctx, rows, params, grad, nullptr);
 }
 
-void BceGrad(const LossContext& ctx, const std::vector<size_t>& rows,
+void BceGrad(const LossContext& ctx, const RowSet& rows,
              const ParamVec& params, ParamVec* grad,
              std::vector<double>* probs) {
   BceGradImpl<false>(ctx, rows, params, grad, probs);
 }
 
-void BceHvp(const LossContext& ctx, const std::vector<size_t>& rows,
+void BceHvp(const LossContext& ctx, const RowSet& rows,
             const std::vector<double>& probs, const ParamVec& v,
             ParamVec* hv) {
-  assert(ctx.x != nullptr && ctx.labels != nullptr && !rows.empty());
   assert(probs.size() == rows.size());
-  hv->assign(v.size(), 0.0);
-  double total_w = 0.0;
-  ForEachRowDot(*ctx.x, rows, v, [&](size_t i, size_t r, double dot) {
+  hv->resize(v.size());
+  std::vector<double> coeffs(rows.size());
+  double bias = 0.0, total_w = 0.0;
+  ForEachRowDot(ctx, rows, v, [&](size_t i, size_t r, double dot) {
     const double w = RowWeight(ctx, r);
     const double s = probs[i] * (1.0 - probs[i]);
     const double xv = dot + v.back();
-    const double coeff = w * s * xv;
-    ctx.x->AddScaledRow(r, coeff, hv);
-    hv->back() += coeff;
+    coeffs[i] = w * s * xv;
+    bias += coeffs[i];
     total_w += w;
   });
-  const double inv_w = 1.0 / total_w;
-  for (double& h : *hv) h *= inv_w;
+  FinishGradient(rows, coeffs, bias, total_w, hv);
 }
 
 double AddL2(const ParamVec& params, double l2, ParamVec* grad) {

@@ -1,9 +1,12 @@
 // Binary cross-entropy risk kernels for logistic regression over row
 // subsets (environments). These are the atomic operations of Algorithms 1
-// and 2 in the paper. Each kernel takes the dot products of a block of
-// rows together (FeatureMatrix::RowDots), then finishes the rows one at a
-// time in row order, so every sum keeps the association of a plain
-// per-row loop:
+// and 2 in the paper. Each kernel first makes one pass over its rows: it
+// takes the dot products of a block of rows together
+// (FeatureMatrix::RowDots), then finishes the rows one at a time in row
+// order (sigmoid, one gradient coefficient per row, and the bias, loss and
+// weight sums). The gradient kernels then sum the coefficients per column
+// along the RowSet's column index (RowSet::ColumnSums). Every sum keeps
+// the association of a plain per-row loop:
 //   R^m(D_m; theta)            -> BceLoss over the rows of environment m
 //   grad_theta R^m(D_m; theta) -> BceLossGrad
 //   H^m(theta) * v             -> BceHvp (exact logistic Hessian-vector
@@ -14,11 +17,12 @@
 
 #include "common/result.h"
 #include "linear/logistic.h"
+#include "linear/row_set.h"
 
 namespace lightmirm::linear {
 
 /// Bundles the design matrix, labels and optional per-row weights; all
-/// loss kernels index into these through explicit row subsets so that
+/// loss kernels index into these through a RowSet of that matrix, so
 /// per-environment losses never copy data.
 struct LossContext {
   const FeatureMatrix* x = nullptr;
@@ -28,19 +32,19 @@ struct LossContext {
 };
 
 /// Weighted mean BCE over `rows` (Eq. 4). Rows must be non-empty.
-double BceLoss(const LossContext& ctx, const std::vector<size_t>& rows,
+double BceLoss(const LossContext& ctx, const RowSet& rows,
                const ParamVec& params);
 
 /// Computes the loss and writes the gradient (size params.size(), bias
 /// last) into `grad`. Returns the loss.
-double BceLossGrad(const LossContext& ctx, const std::vector<size_t>& rows,
+double BceLossGrad(const LossContext& ctx, const RowSet& rows,
                    const ParamVec& params, ParamVec* grad);
 
 /// The gradient of BceLossGrad, bit for bit, without computing the loss
 /// (the MAML inner step discards it). When `probs` is set it receives
 /// p_i = sigmoid(theta^T x_i + b) for each of `rows`, in order: the
 /// probabilities BceHvp takes at the same `params`.
-void BceGrad(const LossContext& ctx, const std::vector<size_t>& rows,
+void BceGrad(const LossContext& ctx, const RowSet& rows,
              const ParamVec& params, ParamVec* grad,
              std::vector<double>* probs = nullptr);
 
@@ -49,7 +53,7 @@ void BceGrad(const LossContext& ctx, const std::vector<size_t>& rows,
 ///   hv = [ (1/W) sum_i w_i s_i x_i (x_i^T v + v_b) ;
 ///          (1/W) sum_i w_i s_i (x_i^T v + v_b) ]
 /// with s_i = p_i (1 - p_i). `hv` is resized to v.size().
-void BceHvp(const LossContext& ctx, const std::vector<size_t>& rows,
+void BceHvp(const LossContext& ctx, const RowSet& rows,
             const std::vector<double>& probs, const ParamVec& v,
             ParamVec* hv);
 

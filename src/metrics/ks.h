@@ -4,14 +4,20 @@
 // throughout).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/result.h"
 
 namespace lightmirm::metrics {
 
+/// Pairs per shard of the sort KsStatistic and KsCurve run on the thread
+/// pool before their walk; shards then merge pairwise.
+inline constexpr size_t kKsSortShard = 1024;
+
 /// KS statistic in [0, 1]. Errors if either class is absent or sizes
-/// mismatch.
+/// mismatch. The result depends only on the multiset of (score, label)
+/// pairs, so it is the same at any thread count.
 Result<double> KsStatistic(const std::vector<int>& labels,
                            const std::vector<double>& scores);
 

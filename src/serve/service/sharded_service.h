@@ -38,9 +38,13 @@
 namespace lightmirm::serve {
 
 struct ServiceOptions {
-  /// Dispatcher shape. `feature_width` may be left 0: Create fills it
-  /// with the model's trained feature count. `telemetry` is overwritten:
-  /// the service always wires its own ServiceTelemetry in.
+  /// Dispatcher shape. `feature_width` may be left 0: Create then fills
+  /// it with the serving forest's min_feature_count(), the largest
+  /// feature a split reads plus one. That can be narrower than the
+  /// dataset the model was trained on (the booster records no trained
+  /// width), so a caller sending dataset-width rows must set the width.
+  /// `telemetry` is overwritten: the service always wires its own
+  /// ServiceTelemetry in.
   DispatcherOptions dispatcher;
   /// Per-shard monitor configuration. Size `window` to the horizon you
   /// evaluate over: merged-fleet verdicts equal a single monitor's

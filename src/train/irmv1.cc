@@ -1,6 +1,8 @@
 #include "train/irmv1.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace lightmirm::train {
 namespace {
@@ -10,16 +12,20 @@ namespace {
 //   risk_grad   += mean BCE gradient (accumulated with coefficient 1/M)
 //   D           = d/dw R(w*z)|_{w=1} = mean (p - y) * z
 //   D_grad      = grad_theta D = mean [(p - y) + s z] * x_tilde
-// and returns D so the caller can add 2*lambda*D*D_grad.
+// and returns D so the caller can add 2*lambda*D*D_grad. One pass over the
+// rows takes each row's two gradient coefficients and the scalar sums in
+// row order; the column sums then run along the row set's index.
 double EnvPenaltyTerms(const linear::LossContext& ctx,
-                       const std::vector<size_t>& rows,
+                       const linear::RowSet& rows,
                        const linear::ParamVec& params, double inv_m,
                        linear::ParamVec* risk_grad,
                        linear::ParamVec* d_grad, double* risk_out) {
-  d_grad->assign(params.size(), 0.0);
+  const size_t n = rows.size();
+  std::vector<double> risk_coeffs(n), d_coeffs(n);
   double risk = 0.0, d_val = 0.0, total_w = 0.0;
-  linear::ParamVec local_grad(params.size(), 0.0);
-  for (size_t r : rows) {
+  double risk_bias = 0.0, d_bias = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = rows[i];
     const double w = ctx.weights != nullptr ? (*ctx.weights)[r] : 1.0;
     const double z = ctx.x->RowDot(r, params) + params.back();
     const double p = linear::Sigmoid(z);
@@ -29,15 +35,20 @@ double EnvPenaltyTerms(const linear::LossContext& ctx,
     const double residual = p - static_cast<double>(y);
     const double s = p * (1.0 - p);
     // Risk gradient.
-    ctx.x->AddScaledRow(r, w * residual, &local_grad);
-    local_grad.back() += w * residual;
+    risk_coeffs[i] = w * residual;
+    risk_bias += risk_coeffs[i];
     // Dummy-classifier derivative and its gradient.
     d_val += w * residual * z;
-    const double coeff = w * (residual + s * z);
-    ctx.x->AddScaledRow(r, coeff, d_grad);
-    d_grad->back() += coeff;
+    d_coeffs[i] = w * (residual + s * z);
+    d_bias += d_coeffs[i];
     total_w += w;
   }
+  linear::ParamVec local_grad(params.size());
+  rows.ColumnSums(risk_coeffs.data(), local_grad.data());
+  local_grad.back() = risk_bias;
+  d_grad->resize(params.size());
+  rows.ColumnSums(d_coeffs.data(), d_grad->data());
+  d_grad->back() = d_bias;
   const double inv_w = 1.0 / total_w;
   risk *= inv_w;
   d_val *= inv_w;

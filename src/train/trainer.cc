@@ -1,8 +1,12 @@
 #include "train/trainer.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "train/meta_irm.h"
 
 namespace lightmirm::train {
@@ -52,39 +56,45 @@ Result<TrainData> TrainData::Create(const linear::FeatureMatrix* x,
   if (weights != nullptr && weights->size() != n) {
     return Status::InvalidArgument("weights size mismatch");
   }
-  int max_env = -1;
   for (int e : *envs) {
     if (e < 0) return Status::InvalidArgument("negative environment id");
-    max_env = std::max(max_env, e);
   }
-  std::vector<std::vector<size_t>> groups(
-      static_cast<size_t>(max_env + 1));
+  std::vector<size_t> all_rows =
+      include_rows == nullptr ? linear::AllRows(n) : *include_rows;
+  if (all_rows.size() > UINT32_MAX) {
+    return Status::InvalidArgument("more than 2^32 training rows");
+  }
+  // Grouped by the ids present, so a large id costs nothing; the map keeps
+  // tasks in ascending env-id order.
+  std::map<int, std::vector<size_t>> groups;
+  for (size_t i : all_rows) {
+    if (i >= n) return Status::OutOfRange("include_rows index out of range");
+    groups[(*envs)[i]].push_back(i);
+  }
   TrainData data;
-  if (include_rows == nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      groups[static_cast<size_t>((*envs)[i])].push_back(i);
-    }
-    data.all_rows = linear::AllRows(n);
-  } else {
-    for (size_t i : *include_rows) {
-      if (i >= n) return Status::OutOfRange("include_rows index out of range");
-      groups[static_cast<size_t>((*envs)[i])].push_back(i);
-    }
-    data.all_rows = *include_rows;
-  }
   data.x = x;
   data.labels = labels;
   data.weights = weights;
-  for (size_t e = 0; e < groups.size(); ++e) {
-    if (groups[e].size() >= min_env_rows) {
-      data.env_rows.push_back(std::move(groups[e]));
-      data.env_ids.push_back(static_cast<int>(e));
+  // The pooled rows come first: the largest set starts indexing first.
+  std::vector<std::vector<size_t>> lists;
+  lists.push_back(std::move(all_rows));
+  for (auto& [env, rows] : groups) {
+    if (rows.size() >= min_env_rows) {
+      lists.push_back(std::move(rows));
+      data.env_ids.push_back(env);
     }
   }
-  if (data.env_rows.empty()) {
+  if (data.env_ids.empty()) {
     return Status::FailedPrecondition(StrFormat(
         "no environment has >= %zu rows", min_env_rows));
   }
+  std::vector<linear::RowSet> sets(lists.size());
+  ParallelFor(0, lists.size(), 1, [&](size_t s) {
+    sets[s] = linear::RowSet(*x, std::move(lists[s]));
+  });
+  data.all_rows = std::move(sets[0]);
+  data.env_rows.assign(std::make_move_iterator(sets.begin() + 1),
+                       std::make_move_iterator(sets.end()));
   return data;
 }
 

@@ -18,8 +18,9 @@
 
 namespace lightmirm::train {
 
-/// Training inputs grouped by environment. Holds row-index views into a
-/// shared design matrix so per-environment losses never copy features.
+/// Training inputs grouped by environment. Holds row sets over a shared
+/// design matrix so per-environment losses never copy features; each row
+/// set carries the column index the gradient kernels sum along.
 struct TrainData {
   const linear::FeatureMatrix* x = nullptr;
   const std::vector<int>* labels = nullptr;
@@ -27,20 +28,21 @@ struct TrainData {
   const std::vector<double>* weights = nullptr;
 
   /// env_rows[t] are the rows of task (environment) t; env_ids[t] is the
-  /// original environment id of task t. Only environments with at least
-  /// `min_env_rows` rows become tasks; smaller ones are folded into the
-  /// pooled rows but not given their own task.
-  std::vector<std::vector<size_t>> env_rows;
+  /// original environment id of task t, ascending in t. Only environments
+  /// with at least `min_env_rows` rows become tasks; smaller ones are
+  /// folded into the pooled rows but not given their own task.
+  std::vector<linear::RowSet> env_rows;
   std::vector<int> env_ids;
-  std::vector<size_t> all_rows;
+  linear::RowSet all_rows;
 
   /// Number of tasks M.
   size_t NumTasks() const { return env_rows.size(); }
 
-  /// Builds the per-environment grouping. Errors if no environment reaches
-  /// `min_env_rows` or inputs are inconsistent. If `include_rows` is
-  /// non-null only those rows participate in training (the rest are e.g.
-  /// a held-out validation set).
+  /// Builds the per-environment grouping and indexes every row set, the
+  /// sets in parallel. Errors if no environment reaches `min_env_rows` or
+  /// inputs are inconsistent. If `include_rows` is non-null only those
+  /// rows participate in training (the rest are e.g. a held-out validation
+  /// set), in that order.
   static Result<TrainData> Create(const linear::FeatureMatrix* x,
                                   const std::vector<int>* labels,
                                   const std::vector<int>* envs,

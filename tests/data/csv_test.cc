@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
 #include <fstream>
 
@@ -65,6 +66,30 @@ TEST(CsvTest, MalformedNumberRejected) {
   const std::string path = TempPath("badnum.csv");
   std::ofstream(path) << "label,env,year,half,f\n1,0,2016,1,xyz\n";
   EXPECT_FALSE(ReadCsv(path).ok());
+}
+
+// Label, env, year and half are ints: a wider value is an error naming its
+// line, not a silent wrap (4294967297 used to load as label 1).
+TEST(CsvTest, IntegerColumnsOutsideIntRejected) {
+  const std::string path = TempPath("wide_ints.csv");
+  std::ofstream(path) << "label,env,year,half,f\n0,1,2016,1,0.5\n"
+                         "4294967297,4294967296,4294969312,1,0.5\n";
+  auto r = ReadCsv(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(r.status().message().find("line 3"), std::string::npos)
+      << r.status().ToString();
+  for (const char* row : {"0,-2147483649,2016,1,0.5",
+                          "0,0,2016,2147483648,0.5"}) {
+    std::ofstream(path) << "label,env,year,half,f\n" << row << "\n";
+    EXPECT_FALSE(ReadCsv(path).ok()) << row;
+  }
+  std::ofstream(path) << "label,env,year,half,f\n"
+                         "1,2147483647,-2147483648,1,0.5\n";
+  const auto ok = ReadCsv(path);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->envs()[0], INT_MAX);
+  EXPECT_EQ(ok->years()[0], INT_MIN);
 }
 
 TEST(CsvTest, SkipsBlankLines) {

@@ -296,7 +296,9 @@ TEST(ParallelEquivalenceTest, LeafEncoding) {
   for (size_t i = 1; i < encoded.size(); ++i) {
     ASSERT_EQ(encoded[0].rows(), encoded[i].rows());
     for (size_t r = 0; r < encoded[0].rows(); ++r) {
-      EXPECT_EQ(encoded[0].SparseRow(r), encoded[i].SparseRow(r));
+      const auto want = encoded[0].SparseRow(r), got = encoded[i].SparseRow(r);
+      EXPECT_EQ(std::vector<uint32_t>(want.begin(), want.end()),
+                std::vector<uint32_t>(got.begin(), got.end()));
     }
   }
 }

@@ -17,6 +17,7 @@ struct Problem {
   LossContext Ctx(bool weighted = false) const {
     return LossContext{&x, &labels, weighted ? &weights : nullptr};
   }
+  RowSet Rows() const { return RowSet(x, rows); }
 };
 
 Problem MakeProblem(size_t n, size_t d, uint64_t seed) {
@@ -54,22 +55,22 @@ TEST(BceLossTest, MatchesHandComputedValue) {
   const ParamVec params = {2.0, 0.0};  // w=2, b=0
   const double p1 = Sigmoid(2.0), p0 = Sigmoid(-2.0);
   const double expected = 0.5 * (-std::log(p1) - std::log(1.0 - p0));
-  EXPECT_NEAR(BceLoss(ctx, {0, 1}, params), expected, 1e-12);
+  EXPECT_NEAR(BceLoss(ctx, RowSet(x, {0, 1}), params), expected, 1e-12);
 }
 
 TEST(BceLossGradTest, GradMatchesFiniteDifferences) {
   const Problem p = MakeProblem(60, 4, 1);
   const ParamVec params = RandomParams(4, 2);
   ParamVec grad;
-  BceLossGrad(p.Ctx(), p.rows, params, &grad);
+  BceLossGrad(p.Ctx(), p.Rows(), params, &grad);
   const double h = 1e-6;
   for (size_t j = 0; j < params.size(); ++j) {
     ParamVec plus = params, minus = params;
     plus[j] += h;
     minus[j] -= h;
-    const double fd =
-        (BceLoss(p.Ctx(), p.rows, plus) - BceLoss(p.Ctx(), p.rows, minus)) /
-        (2.0 * h);
+    const double fd = (BceLoss(p.Ctx(), p.Rows(), plus) -
+                       BceLoss(p.Ctx(), p.Rows(), minus)) /
+                      (2.0 * h);
     EXPECT_NEAR(grad[j], fd, 1e-6) << "param " << j;
   }
 }
@@ -78,14 +79,14 @@ TEST(BceLossGradTest, WeightedGradMatchesFiniteDifferences) {
   const Problem p = MakeProblem(40, 3, 3);
   const ParamVec params = RandomParams(3, 4);
   ParamVec grad;
-  BceLossGrad(p.Ctx(true), p.rows, params, &grad);
+  BceLossGrad(p.Ctx(true), p.Rows(), params, &grad);
   const double h = 1e-6;
   for (size_t j = 0; j < params.size(); ++j) {
     ParamVec plus = params, minus = params;
     plus[j] += h;
     minus[j] -= h;
-    const double fd = (BceLoss(p.Ctx(true), p.rows, plus) -
-                       BceLoss(p.Ctx(true), p.rows, minus)) /
+    const double fd = (BceLoss(p.Ctx(true), p.Rows(), plus) -
+                       BceLoss(p.Ctx(true), p.Rows(), minus)) /
                       (2.0 * h);
     EXPECT_NEAR(grad[j], fd, 1e-6) << "param " << j;
   }
@@ -95,8 +96,8 @@ TEST(BceLossGradTest, FusedLossEqualsPlainLoss) {
   const Problem p = MakeProblem(50, 3, 5);
   const ParamVec params = RandomParams(3, 6);
   ParamVec grad;
-  EXPECT_NEAR(BceLossGrad(p.Ctx(), p.rows, params, &grad),
-              BceLoss(p.Ctx(), p.rows, params), 1e-12);
+  EXPECT_NEAR(BceLossGrad(p.Ctx(), p.Rows(), params, &grad),
+              BceLoss(p.Ctx(), p.Rows(), params), 1e-12);
 }
 
 TEST(BceLossTest, SubsetUsesOnlyGivenRows) {
@@ -104,7 +105,7 @@ TEST(BceLossTest, SubsetUsesOnlyGivenRows) {
   const ParamVec params = RandomParams(2, 8);
   std::vector<size_t> half;
   for (size_t i = 0; i < 15; ++i) half.push_back(i);
-  const double subset_loss = BceLoss(p.Ctx(), half, params);
+  const double subset_loss = BceLoss(p.Ctx(), RowSet(p.x, half), params);
   // Equals the mean over those rows computed by hand.
   double manual = 0.0;
   for (size_t r : half) {
@@ -122,8 +123,8 @@ TEST(BceHvpTest, MatchesFiniteDifferenceOfGradient) {
   for (double& x : v) x = rng.Normal();
   ParamVec grad, hv;
   std::vector<double> probs;
-  BceGrad(p.Ctx(), p.rows, params, &grad, &probs);
-  BceHvp(p.Ctx(), p.rows, probs, v, &hv);
+  BceGrad(p.Ctx(), p.Rows(), params, &grad, &probs);
+  BceHvp(p.Ctx(), p.Rows(), probs, v, &hv);
   // FD: (grad(params + h*v) - grad(params - h*v)) / 2h
   const double h = 1e-6;
   ParamVec plus = params, minus = params, gp, gm;
@@ -131,8 +132,8 @@ TEST(BceHvpTest, MatchesFiniteDifferenceOfGradient) {
     plus[j] += h * v[j];
     minus[j] -= h * v[j];
   }
-  BceLossGrad(p.Ctx(), p.rows, plus, &gp);
-  BceLossGrad(p.Ctx(), p.rows, minus, &gm);
+  BceLossGrad(p.Ctx(), p.Rows(), plus, &gp);
+  BceLossGrad(p.Ctx(), p.Rows(), minus, &gm);
   for (size_t j = 0; j < params.size(); ++j) {
     EXPECT_NEAR(hv[j], (gp[j] - gm[j]) / (2.0 * h), 1e-5) << "param " << j;
   }
@@ -143,12 +144,12 @@ TEST(BceHvpTest, HessianIsPositiveSemiDefinite) {
   const ParamVec params = RandomParams(3, 13);
   ParamVec grad;
   std::vector<double> probs;
-  BceGrad(p.Ctx(), p.rows, params, &grad, &probs);
+  BceGrad(p.Ctx(), p.Rows(), params, &grad, &probs);
   Rng rng(14);
   for (int trial = 0; trial < 20; ++trial) {
     ParamVec v(params.size()), hv;
     for (double& x : v) x = rng.Normal();
-    BceHvp(p.Ctx(), p.rows, probs, v, &hv);
+    BceHvp(p.Ctx(), p.Rows(), probs, v, &hv);
     double quad = 0.0;
     for (size_t j = 0; j < v.size(); ++j) quad += v[j] * hv[j];
     EXPECT_GE(quad, -1e-12);

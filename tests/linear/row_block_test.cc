@@ -35,7 +35,8 @@ void ExpectSameBits(const std::vector<double>& got,
   }
 }
 
-// --- The per-row loops, as they were before row blocking. ---
+// --- The per-row loops, as they were before row blocking and the
+// column index. ---
 
 double RefRowDot(const FeatureMatrix& x, size_t r,
                  const std::vector<double>& w) {
@@ -47,6 +48,19 @@ double RefRowDot(const FeatureMatrix& x, size_t r,
   }
   for (uint32_t c : x.SparseRow(r)) acc += w[c];
   return acc;
+}
+
+// out[j] += a * X[r][j] for every column j: the per-row scatter the
+// column sums replaced, zero coefficients skipped as it skipped them.
+void RefAddScaledRow(const FeatureMatrix& x, size_t r, double a,
+                     std::vector<double>* out) {
+  if (a == 0.0) return;
+  if (x.dense_mode()) {
+    const double* row = x.dense().Row(r);
+    for (size_t c = 0; c < x.cols(); ++c) (*out)[c] += a * row[c];
+    return;
+  }
+  for (uint32_t c : x.SparseRow(r)) (*out)[c] += a;
 }
 
 double RefSafeLog(double v) { return std::log(std::max(v, 1e-12)); }
@@ -78,7 +92,7 @@ double RefBceLossGrad(const LossContext& ctx, const std::vector<size_t>& rows,
     const int y = (*ctx.labels)[r];
     loss -= w * (y == 1 ? RefSafeLog(p) : RefSafeLog(1.0 - p));
     const double residual = w * (p - static_cast<double>(y));
-    ctx.x->AddScaledRow(r, residual, grad);
+    RefAddScaledRow(*ctx.x, r, residual, grad);
     grad->back() += residual;
     total_w += w;
   }
@@ -98,7 +112,7 @@ void RefBceHvp(const LossContext& ctx, const std::vector<size_t>& rows,
     const double s = p * (1.0 - p);
     const double xv = RefRowDot(*ctx.x, r, v) + v.back();
     const double coeff = w * s * xv;
-    ctx.x->AddScaledRow(r, coeff, hv);
+    RefAddScaledRow(*ctx.x, r, coeff, hv);
     hv->back() += coeff;
     total_w += w;
   }
@@ -223,19 +237,20 @@ TEST(BceRowBlockTest, KernelsEqualPerRowLoopsBitForBit) {
       for (const std::vector<size_t>& rows : RowLists()) {
         const std::string what = c.name + (weighted ? " weighted " : " ") +
                                  std::to_string(rows.size()) + " rows";
-        EXPECT_EQ(Bits(BceLoss(ctx, rows, params)),
+        const RowSet set(c.x, rows);
+        EXPECT_EQ(Bits(BceLoss(ctx, set, params)),
                   Bits(RefBceLoss(ctx, rows, params)))
             << what;
 
         ParamVec grad, ref_grad;
-        const double loss = BceLossGrad(ctx, rows, params, &grad);
+        const double loss = BceLossGrad(ctx, set, params, &grad);
         const double ref_loss = RefBceLossGrad(ctx, rows, params, &ref_grad);
         EXPECT_EQ(Bits(loss), Bits(ref_loss)) << what;
         ExpectSameBits(grad, ref_grad, what + " BceLossGrad");
 
         ParamVec grad_only;
         std::vector<double> probs;
-        BceGrad(ctx, rows, params, &grad_only, &probs);
+        BceGrad(ctx, set, params, &grad_only, &probs);
         ExpectSameBits(grad_only, ref_grad, what + " BceGrad");
         std::vector<double> ref_probs;
         for (size_t r : rows) {
@@ -245,7 +260,7 @@ TEST(BceRowBlockTest, KernelsEqualPerRowLoopsBitForBit) {
         ExpectSameBits(probs, ref_probs, what + " probs");
 
         ParamVec hv, ref_hv;
-        BceHvp(ctx, rows, probs, v, &hv);
+        BceHvp(ctx, set, probs, v, &hv);
         RefBceHvp(ctx, rows, params, v, &ref_hv);
         ExpectSameBits(hv, ref_hv, what + " BceHvp");
       }
@@ -261,14 +276,15 @@ TEST(BceHvpTest, CachedProbabilitiesGiveTheRecomputedHvp) {
   const FeatureMatrix& x = cases[1].x;  // leaf-encoded, as in training
   const LossContext ctx{&x, &data.labels, nullptr};
   const std::vector<size_t> rows = AllRows(kRows);
+  const RowSet set(x, rows);
   const ParamVec params = WideVector(x.cols() + 1, 18);
   ParamVec grad;
   std::vector<double> probs;
-  BceGrad(ctx, rows, params, &grad, &probs);
+  BceGrad(ctx, set, params, &grad, &probs);
   for (uint64_t seed : {19u, 20u, 21u}) {
     const ParamVec v = WideVector(x.cols() + 1, seed);
     ParamVec cached, recomputed;
-    BceHvp(ctx, rows, probs, v, &cached);
+    BceHvp(ctx, set, probs, v, &cached);
     RefBceHvp(ctx, rows, params, v, &recomputed);
     ExpectSameBits(cached, recomputed, "seed " + std::to_string(seed));
   }

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "metrics/roc.h"
 
 namespace lightmirm::metrics {
@@ -135,6 +136,44 @@ TEST(KsTest, PairSortEqualsIndexSortWithTiesAndSignedZeros) {
     EXPECT_LE(curve.size(), 8u);
     for (size_t k = 1; k < curve.size(); ++k) {
       EXPECT_LT(curve[k - 1].threshold, curve[k].threshold);
+    }
+  }
+}
+
+// The pool's shard sort against one serial sort, at 1, 2 and 4 threads:
+// n below, at and above one shard (and several), with ties and signed
+// zeros that land in different shards.
+TEST(KsShardTest, ShardedSortGivesTheSerialSortStatistic) {
+  Rng rng(31);
+  const std::vector<double> values = {-0.0, 0.0, 0.25, 0.25, 0.5, 0.75};
+  const size_t shard = kKsSortShard;
+  for (const size_t n : {shard - 1, shard, shard + 1, 2 * shard + 7,
+                         5 * shard - 3}) {
+    for (bool tied : {false, true}) {
+      std::vector<int> labels(n);
+      std::vector<double> scores(n);
+      for (size_t i = 0; i < n; ++i) {
+        labels[i] = i < 2 ? static_cast<int>(i) : (rng.Bernoulli(0.3) ? 1 : 0);
+        scores[i] = tied ? values[rng.UniformInt(values.size())]
+                         : rng.Normal() + 0.8 * labels[i];
+      }
+      // Put -0.0 in the first shard and +0.0 in the last, beside ties.
+      scores[0] = -0.0;
+      scores[n - 1] = 0.0;
+      const double want = IndexSortKs(labels, scores);
+      for (int threads : {1, 2, 4}) {
+        ScopedDefaultThreads scoped(threads);
+        const double got = *KsStatistic(labels, scores);
+        uint64_t want_bits, got_bits;
+        std::memcpy(&want_bits, &want, sizeof(want));
+        std::memcpy(&got_bits, &got, sizeof(got));
+        EXPECT_EQ(got_bits, want_bits)
+            << n << " rows, tied=" << tied << ", " << threads << " threads";
+        const auto curve = *KsCurve(labels, scores);
+        for (size_t k = 1; k < curve.size(); ++k) {
+          ASSERT_LT(curve[k - 1].threshold, curve[k].threshold);
+        }
+      }
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "test_util.h"
 
 namespace lightmirm::train {
@@ -55,6 +57,22 @@ TEST(TrainDataTest, IncludeRowsRestrictsTraining) {
   std::vector<size_t> bad = {10000};
   EXPECT_FALSE(
       TrainData::Create(&p.x, &p.labels, &p.envs, 1, nullptr, &bad).ok());
+}
+
+// Tasks are grouped by the env ids present, in ascending id order: an id
+// of INT_MAX costs no more than an id of 1.
+TEST(TrainDataTest, LargeEnvIdsGroupByTheIdsPresent) {
+  Matrix m(4, 1, {0.5, -1.0, 2.0, 0.0});
+  const linear::FeatureMatrix x = linear::FeatureMatrix::FromDense(m);
+  const std::vector<int> labels = {0, 1, 1, 0};
+  const std::vector<int> envs = {INT_MAX, 0, INT_MAX, 100000000};
+  const auto data = TrainData::Create(&x, &labels, &envs, 1);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data->env_ids, (std::vector<int>{0, 100000000, INT_MAX}));
+  EXPECT_EQ(data->env_rows[0].rows(), (std::vector<size_t>{1}));
+  EXPECT_EQ(data->env_rows[1].rows(), (std::vector<size_t>{3}));
+  EXPECT_EQ(data->env_rows[2].rows(), (std::vector<size_t>{0, 2}));
+  EXPECT_EQ(data->all_rows.size(), 4u);
 }
 
 TEST(TrainedPredictorTest, PerEnvOverridesApply) {
