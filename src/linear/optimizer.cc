@@ -1,102 +1,34 @@
 #include "linear/optimizer.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace lightmirm::linear {
-namespace {
 
-class SgdOptimizer : public Optimizer {
- public:
-  explicit SgdOptimizer(const OptimizerOptions& opt) : lr_(opt.learning_rate) {}
-
-  void Step(const ParamVec& grad, ParamVec* params) override {
-    assert(grad.size() == params->size());
-    for (size_t i = 0; i < grad.size(); ++i) (*params)[i] -= lr_ * grad[i];
-  }
-
-  void Reset() override {}
-
- private:
-  double lr_;
-};
-
-class MomentumOptimizer : public Optimizer {
- public:
-  explicit MomentumOptimizer(const OptimizerOptions& opt)
-      : lr_(opt.learning_rate), momentum_(opt.momentum) {}
-
-  void Step(const ParamVec& grad, ParamVec* params) override {
-    if (velocity_.size() != grad.size()) velocity_.assign(grad.size(), 0.0);
-    for (size_t i = 0; i < grad.size(); ++i) {
-      velocity_[i] = momentum_ * velocity_[i] + grad[i];
-      (*params)[i] -= lr_ * velocity_[i];
-    }
-  }
-
-  void Reset() override { velocity_.clear(); }
-
- private:
-  double lr_;
-  double momentum_;
-  ParamVec velocity_;
-};
-
-class AdamOptimizer : public Optimizer {
- public:
-  explicit AdamOptimizer(const OptimizerOptions& opt)
-      : lr_(opt.learning_rate),
-        beta1_(opt.beta1),
-        beta2_(opt.beta2),
-        eps_(opt.epsilon) {}
-
-  void Step(const ParamVec& grad, ParamVec* params) override {
-    if (m_.size() != grad.size()) {
-      m_.assign(grad.size(), 0.0);
-      v_.assign(grad.size(), 0.0);
-      t_ = 0;
-    }
-    ++t_;
-    const double bc1 = 1.0 - std::pow(beta1_, t_);
-    const double bc2 = 1.0 - std::pow(beta2_, t_);
-    for (size_t i = 0; i < grad.size(); ++i) {
-      m_[i] = beta1_ * m_[i] + (1.0 - beta1_) * grad[i];
-      v_[i] = beta2_ * v_[i] + (1.0 - beta2_) * grad[i] * grad[i];
-      const double mhat = m_[i] / bc1;
-      const double vhat = v_[i] / bc2;
-      (*params)[i] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
-    }
-  }
-
-  void Reset() override {
-    m_.clear();
-    v_.clear();
-    t_ = 0;
-  }
-
- private:
-  double lr_, beta1_, beta2_, eps_;
-  ParamVec m_, v_;
-  int64_t t_ = 0;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<Optimizer>> Optimizer::Create(
-    const OptimizerOptions& options) {
+Result<Adam> Adam::Create(const OptimizerOptions& options) {
   if (options.learning_rate <= 0.0) {
     return Status::InvalidArgument("learning_rate must be positive");
   }
-  if (options.kind == "sgd") {
-    return std::unique_ptr<Optimizer>(new SgdOptimizer(options));
+  return Adam(options);
+}
+
+void Adam::Step(const ParamVec& grad, ParamVec* params) {
+  if (m_.size() != grad.size()) {
+    m_.assign(grad.size(), 0.0);
+    v_.assign(grad.size(), 0.0);
+    t_ = 0;
   }
-  if (options.kind == "momentum") {
-    return std::unique_ptr<Optimizer>(new MomentumOptimizer(options));
+  ++t_;
+  const double lr = options_.learning_rate, beta1 = options_.beta1,
+               beta2 = options_.beta2, eps = options_.epsilon;
+  const double bc1 = 1.0 - std::pow(beta1, t_);
+  const double bc2 = 1.0 - std::pow(beta2, t_);
+  for (size_t i = 0; i < grad.size(); ++i) {
+    m_[i] = beta1 * m_[i] + (1.0 - beta1) * grad[i];
+    v_[i] = beta2 * v_[i] + (1.0 - beta2) * grad[i] * grad[i];
+    const double mhat = m_[i] / bc1;
+    const double vhat = v_[i] / bc2;
+    (*params)[i] -= lr * mhat / (std::sqrt(vhat) + eps);
   }
-  if (options.kind == "adam") {
-    return std::unique_ptr<Optimizer>(new AdamOptimizer(options));
-  }
-  return Status::InvalidArgument("unknown optimizer kind: " + options.kind);
 }
 
 }  // namespace lightmirm::linear

@@ -1,42 +1,37 @@
-// First-order optimizers operating on packed parameter vectors. The outer
-// loop of meta-IRM / LightMIRM and the ERM-family baselines all step
-// through this interface.
+// Adam (Kingma & Ba 2015) on packed parameter vectors: the one optimizer
+// the meta-IRM / LightMIRM outer loop, the ERM-family baselines and the
+// fine-tuning adaptation step through.
 #pragma once
-
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "linear/logistic.h"
 
 namespace lightmirm::linear {
 
-/// Optimizer configuration.
+/// Adam configuration.
 struct OptimizerOptions {
-  std::string kind = "sgd";  ///< "sgd", "momentum", or "adam"
-  double learning_rate = 0.1;
-  double momentum = 0.9;  ///< for "momentum"
-  double beta1 = 0.9;     ///< for "adam"
+  double learning_rate = 0.05;
+  double beta1 = 0.9;
   double beta2 = 0.999;
   double epsilon = 1e-8;
 };
 
-/// Stateful gradient-descent stepper.
-class Optimizer {
+/// Stateful bias-corrected Adam stepper.
+class Adam {
  public:
-  virtual ~Optimizer() = default;
+  /// Errors on a non-positive learning rate.
+  static Result<Adam> Create(const OptimizerOptions& options);
 
-  /// Applies one update: params -= f(grad). Sizes must match the first
-  /// call's.
-  virtual void Step(const ParamVec& grad, ParamVec* params) = 0;
+  /// Applies one update: params -= lr * mhat / (sqrt(vhat) + eps). Sizes
+  /// must match the first call's.
+  void Step(const ParamVec& grad, ParamVec* params);
 
-  /// Clears internal state (momentum buffers etc.).
-  virtual void Reset() = 0;
+ private:
+  explicit Adam(const OptimizerOptions& options) : options_(options) {}
 
-  /// Factory by options; errors on unknown kind.
-  static Result<std::unique_ptr<Optimizer>> Create(
-      const OptimizerOptions& options);
+  OptimizerOptions options_;
+  ParamVec m_, v_;
+  int64_t t_ = 0;
 };
 
 }  // namespace lightmirm::linear

@@ -76,7 +76,7 @@ ModelHealthMonitor::ModelHealthMonitor(ScoreReference reference,
   if (max_env >= 0) {
     env_index_.assign(static_cast<size_t>(max_env) + 1, nullptr);
     for (auto& [env, mon] : per_env_) {
-      if (env >= 0) env_index_[static_cast<size_t>(env)] = &mon;
+      env_index_[static_cast<size_t>(env)] = &mon;
     }
   }
 }
@@ -95,6 +95,14 @@ Result<std::unique_ptr<ModelHealthMonitor>> ModelHealthMonitor::Create(
     return Status::InvalidArgument(StrFormat(
         "score reference has %d bins; monitored windows support at most %d",
         reference.num_bins, SlidingWindow::kMaxBins));
+  }
+  for (const auto& [env, bins] : reference.per_env) {
+    (void)bins;
+    if (env < 0 || env >= kEnvIdLimit) {
+      return Status::InvalidArgument(StrFormat(
+          "score reference env id %d is outside the monitored range [0, %d)",
+          env, kEnvIdLimit));
+    }
   }
   return std::unique_ptr<ModelHealthMonitor>(
       new ModelHealthMonitor(std::move(reference), options));

@@ -273,9 +273,15 @@ class MergedHealthEvaluator {
 /// Thread-safe online monitor; see file comment.
 class ModelHealthMonitor {
  public:
-  /// Errors when the reference is empty. Per-env windows are created for
-  /// exactly the environments the reference holds histograms for; other
-  /// environments only feed the global window.
+  /// Environment ids a reference may hold lie in [0, kEnvIdLimit): the
+  /// monitor indexes its env windows by id in a dense table (32 KB at the
+  /// limit, against the generator's 31 provinces).
+  static constexpr int kEnvIdLimit = 4096;
+
+  /// Errors when the reference is empty or holds an env id outside
+  /// [0, kEnvIdLimit). Per-env windows are created for exactly the
+  /// environments the reference holds histograms for; other environments
+  /// only feed the global window.
   static Result<std::unique_ptr<ModelHealthMonitor>> Create(
       ScoreReference reference, MonitorOptions options = {});
 

@@ -12,10 +12,9 @@ Result<TrainedPredictor> FineTuneTrainer::Fit(const TrainData& data) {
   for (size_t t = 0; t < data.NumTasks(); ++t) {
     linear::LogisticModel env_model = predictor.global;
     linear::OptimizerOptions opt_options = options_.optimizer;
-    opt_options.kind = "adam";
     opt_options.learning_rate = ft_.fine_tune_lr;
-    LIGHTMIRM_ASSIGN_OR_RETURN(std::unique_ptr<linear::Optimizer> opt,
-                               linear::Optimizer::Create(opt_options));
+    LIGHTMIRM_ASSIGN_OR_RETURN(linear::Adam adam,
+                               linear::Adam::Create(opt_options));
     for (int epoch = 0; epoch < ft_.fine_tune_epochs; ++epoch) {
       linear::BceGrad(ctx, data.env_rows[t], env_model.params(), &grad);
       linear::AddL2(env_model.params(), options_.l2, &grad);
@@ -25,7 +24,7 @@ Result<TrainedPredictor> FineTuneTrainer::Fit(const TrainData& data) {
           grad[j] += ft_.proximal * (env_model.params()[j] - base[j]);
         }
       }
-      opt->Step(grad, &env_model.mutable_params());
+      adam.Step(grad, &env_model.mutable_params());
     }
     predictor.per_env.emplace(data.env_ids[t], std::move(env_model));
   }

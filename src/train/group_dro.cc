@@ -5,60 +5,41 @@
 namespace lightmirm::train {
 
 Result<TrainedPredictor> GroupDroTrainer::Fit(const TrainData& data) {
-  Rng rng(options_.seed);
-  linear::LogisticModel model = linear::LogisticModel::RandomInit(
-      data.x->cols(), options_.init_scale, &rng);
-  LIGHTMIRM_ASSIGN_OR_RETURN(std::unique_ptr<linear::Optimizer> opt,
-                             linear::Optimizer::Create(options_.optimizer));
   const linear::LossContext ctx = data.Context();
   const size_t num_tasks = data.NumTasks();
   std::vector<double> q(num_tasks, 1.0 / static_cast<double>(num_tasks));
-  const double l2 = options_.l2 * dro_.l2_multiplier;
   const StepTelemetry telemetry = StepTelemetry::From(options_);
-  const MetaTrajectoryRecorder trajectories(telemetry, data.env_ids, "risk",
-                                            "weighted_risk");
-
-  linear::ParamVec grad, env_grad;
-  std::vector<double> risks(num_tasks);
-  BestModelTracker tracker(&options_);
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    double weighted_risk = 0.0;
-    grad.assign(model.params().size(), 0.0);
-    {
-      StepSpan epoch_span(telemetry, kStepEpoch, "epoch");
-      StepSpan scope(telemetry, kStepBackward);
-      // Per-group risks and gradients.
-      double q_total = 0.0;
-      std::vector<linear::ParamVec> grads(num_tasks);
-      for (size_t t = 0; t < num_tasks; ++t) {
-        risks[t] =
-            linear::BceLossGrad(ctx, data.env_rows[t], model.params(),
-                                &grads[t]);
-      }
-      // Exponentiated-gradient ascent on q.
-      for (size_t t = 0; t < num_tasks; ++t) {
-        q[t] *= std::exp(dro_.group_step * risks[t]);
-        q_total += q[t];
-      }
-      for (double& v : q) v /= q_total;
-      // Descend on the q-weighted risk.
-      for (size_t t = 0; t < num_tasks; ++t) {
-        weighted_risk += q[t] * risks[t];
-        for (size_t j = 0; j < grad.size(); ++j) {
-          grad[j] += q[t] * grads[t][j];
+  std::vector<linear::ParamVec> grads(num_tasks);
+  return FitByEpochs(
+      options_, data, options_.l2 * dro_.l2_multiplier,
+      {"risk", "weighted_risk"},
+      [&](int, const linear::ParamVec& params, Rng*, EpochGradient* out) {
+        StepSpan scope(telemetry, kStepBackward);
+        std::vector<double>& risks = out->env_losses;
+        risks.resize(num_tasks);
+        // Per-group risks and gradients.
+        for (size_t t = 0; t < num_tasks; ++t) {
+          risks[t] =
+              linear::BceLossGrad(ctx, data.env_rows[t], params, &grads[t]);
         }
-      }
-      linear::AddL2(model.params(), l2, &grad);
-      opt->Step(grad, &model.mutable_params());
-    }
-    trajectories.Record(risks, weighted_risk);
-    if (options_.epoch_callback) options_.epoch_callback(epoch, model);
-    if (!tracker.Observe(model)) break;
-  }
-  tracker.Finalize(&model);
-  TrainedPredictor predictor;
-  predictor.global = std::move(model);
-  return predictor;
+        // Exponentiated-gradient ascent on q.
+        double q_total = 0.0;
+        for (size_t t = 0; t < num_tasks; ++t) {
+          q[t] *= std::exp(dro_.group_step * risks[t]);
+          q_total += q[t];
+        }
+        for (double& v : q) v /= q_total;
+        // Descend on the q-weighted risk.
+        out->grad.assign(params.size(), 0.0);
+        out->penalty = 0.0;
+        for (size_t t = 0; t < num_tasks; ++t) {
+          out->penalty += q[t] * risks[t];
+          for (size_t j = 0; j < out->grad.size(); ++j) {
+            out->grad[j] += q[t] * grads[t][j];
+          }
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace lightmirm::train

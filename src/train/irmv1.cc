@@ -63,52 +63,35 @@ double EnvPenaltyTerms(const linear::LossContext& ctx,
 }  // namespace
 
 Result<TrainedPredictor> IrmV1Trainer::Fit(const TrainData& data) {
-  Rng rng(options_.seed);
-  linear::LogisticModel model = linear::LogisticModel::RandomInit(
-      data.x->cols(), options_.init_scale, &rng);
-  LIGHTMIRM_ASSIGN_OR_RETURN(std::unique_ptr<linear::Optimizer> opt,
-                             linear::Optimizer::Create(options_.optimizer));
   const linear::LossContext ctx = data.Context();
   const size_t num_tasks = data.NumTasks();
   const double inv_m = 1.0 / static_cast<double>(num_tasks);
   const StepTelemetry telemetry = StepTelemetry::From(options_);
-  const MetaTrajectoryRecorder trajectories(telemetry, data.env_ids, "risk",
-                                            "grad_penalty");
-
-  linear::ParamVec grad, d_grad;
-  std::vector<double> risks(num_tasks);
-  BestModelTracker tracker(&options_);
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    double penalty = 0.0;
-    {
-      StepSpan epoch_span(telemetry, kStepEpoch, "epoch");
-      StepSpan scope(telemetry, kStepBackward);
-      grad.assign(model.params().size(), 0.0);
-      const double lambda =
-          epoch >= irm_.penalty_anneal_epochs ? irm_.penalty_weight : 0.0;
-      for (size_t t = 0; t < num_tasks; ++t) {
-        const double d_val =
-            EnvPenaltyTerms(ctx, data.env_rows[t], model.params(), inv_m,
-                            &grad, &d_grad, &risks[t]);
-        penalty += lambda * inv_m * d_val * d_val;
-        if (lambda > 0.0) {
-          const double coeff = inv_m * 2.0 * lambda * d_val;
-          for (size_t j = 0; j < grad.size(); ++j) {
-            grad[j] += coeff * d_grad[j];
+  linear::ParamVec d_grad;
+  return FitByEpochs(
+      options_, data, options_.l2, {"risk", "grad_penalty"},
+      [&](int epoch, const linear::ParamVec& params, Rng*,
+          EpochGradient* out) {
+        StepSpan scope(telemetry, kStepBackward);
+        out->env_losses.resize(num_tasks);
+        out->grad.assign(params.size(), 0.0);
+        out->penalty = 0.0;
+        const double lambda =
+            epoch >= irm_.penalty_anneal_epochs ? irm_.penalty_weight : 0.0;
+        for (size_t t = 0; t < num_tasks; ++t) {
+          const double d_val =
+              EnvPenaltyTerms(ctx, data.env_rows[t], params, inv_m,
+                              &out->grad, &d_grad, &out->env_losses[t]);
+          out->penalty += lambda * inv_m * d_val * d_val;
+          if (lambda > 0.0) {
+            const double coeff = inv_m * 2.0 * lambda * d_val;
+            for (size_t j = 0; j < out->grad.size(); ++j) {
+              out->grad[j] += coeff * d_grad[j];
+            }
           }
         }
-      }
-      linear::AddL2(model.params(), options_.l2, &grad);
-      opt->Step(grad, &model.mutable_params());
-    }
-    trajectories.Record(risks, penalty);
-    if (options_.epoch_callback) options_.epoch_callback(epoch, model);
-    if (!tracker.Observe(model)) break;
-  }
-  tracker.Finalize(&model);
-  TrainedPredictor predictor;
-  predictor.global = std::move(model);
-  return predictor;
+        return Status::OK();
+      });
 }
 
 }  // namespace lightmirm::train

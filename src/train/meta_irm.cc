@@ -33,6 +33,82 @@ std::vector<double> OuterCoefficients(const std::vector<double>& meta_losses,
   return coeffs;
 }
 
+void MamlOuterGradient(const linear::LossContext& ctx, const TrainData& data,
+                       const linear::ParamVec& params, double inner_lr,
+                       double lambda, bool second_order,
+                       const StepTelemetry& telemetry,
+                       const MetaLossPhase& meta_loss, MetaStepOutput* out) {
+  const size_t num_tasks = data.NumTasks();
+  const size_t dim = params.size();
+  std::vector<linear::ParamVec> theta_bar(num_tasks);
+  std::vector<linear::ParamVec> meta_grads(num_tasks);
+  // p_i at theta over each task's rows: the inner step computes them and
+  // the backward pass's HVP, at the same theta, reuses them.
+  std::vector<std::vector<double>> probs(num_tasks);
+  out->meta_losses.assign(num_tasks, 0.0);
+  obs::Histogram* env_task_seconds =
+      telemetry.metrics != nullptr
+          ? telemetry.metrics->GetHistogram(telemetry.prefix +
+                                            "inner.env_task.seconds")
+          : nullptr;
+
+  // Inner loop (Algorithms 1 and 2, lines 6-7). Each task m is independent
+  // given theta, so the inner steps run environment-parallel; every task
+  // writes only its own theta_bar[m].
+  {
+    StepSpan scope(telemetry, kStepInnerOptimization);
+    ParallelFor(0, num_tasks, 1, [&](size_t m) {
+      WallTimer task_watch;
+      linear::ParamVec grad_m;
+      linear::BceGrad(ctx, data.env_rows[m], params, &grad_m,
+                      second_order ? &probs[m] : nullptr);
+      theta_bar[m] = params;
+      for (size_t j = 0; j < dim; ++j) {
+        theta_bar[m][j] -= inner_lr * grad_m[j];
+      }
+      if (env_task_seconds != nullptr) {
+        env_task_seconds->Record(task_watch.Seconds());
+      }
+    });
+  }
+
+  {
+    StepSpan scope(telemetry, kStepMetaLosses);
+    meta_loss(theta_bar, &out->meta_losses, &meta_grads);
+  }
+
+  // Backward: d/dtheta [sum_m R_meta + lambda*sigma], with the inner-step
+  // Jacobian (I - alpha*H^m(theta)) applied exactly via Hessian-vector
+  // products. HVPs run task-parallel; the reduction into outer_grad stays
+  // serial in task order for bit-stable float sums.
+  {
+    StepSpan scope(telemetry, kStepBackward);
+    const std::vector<double> coeffs =
+        OuterCoefficients(out->meta_losses, lambda);
+    out->outer_grad.assign(dim, 0.0);
+    std::vector<linear::ParamVec> hvs;
+    if (second_order) {
+      hvs.resize(num_tasks);
+      ParallelFor(0, num_tasks, 1, [&](size_t m) {
+        linear::BceHvp(ctx, data.env_rows[m], probs[m], meta_grads[m],
+                       &hvs[m]);
+      });
+    }
+    for (size_t m = 0; m < num_tasks; ++m) {
+      if (second_order) {
+        for (size_t j = 0; j < dim; ++j) {
+          out->outer_grad[j] +=
+              coeffs[m] * (meta_grads[m][j] - inner_lr * hvs[m][j]);
+        }
+      } else {
+        for (size_t j = 0; j < dim; ++j) {
+          out->outer_grad[j] += coeffs[m] * meta_grads[m][j];
+        }
+      }
+    }
+  }
+}
+
 Status MetaIrmOuterGradient(const linear::LossContext& ctx,
                             const TrainData& data,
                             const linear::ParamVec& params,
@@ -41,34 +117,13 @@ Status MetaIrmOuterGradient(const linear::LossContext& ctx,
                             MetaStepOutput* out) {
   const size_t num_tasks = data.NumTasks();
   const size_t dim = params.size();
-  std::vector<linear::ParamVec> theta_bar(num_tasks);
-  std::vector<linear::ParamVec> meta_grads(num_tasks);
-  // p_i at theta over each task's rows, from the inner step, for the HVP.
-  std::vector<std::vector<double>> probs(num_tasks);
-  out->meta_losses.assign(num_tasks, 0.0);
-
-  // Inner loop (Algorithm 1, lines 6-7): one gradient step per environment,
-  // environment-parallel (tasks are independent given theta).
-  {
-    StepSpan scope(telemetry, kStepInnerOptimization);
-    ParallelFor(0, num_tasks, 1, [&](size_t m) {
-      linear::ParamVec grad_m;
-      linear::BceGrad(ctx, data.env_rows[m], params, &grad_m,
-                      options.second_order ? &probs[m] : nullptr);
-      theta_bar[m] = params;
-      for (size_t j = 0; j < dim; ++j) {
-        theta_bar[m][j] -= options.inner_lr * grad_m[j];
-      }
-    });
-  }
-
   // Meta-losses (line 8): R_meta(theta_bar_m) over the other environments
   // (all of them, or a random subset of size S). Sampling draws consume
-  // the RNG serially in task order — the same stream as the serial loop —
-  // then the per-task loss sums run environment-parallel, each in the same
-  // within-task evaluation order as the serial code.
-  {
-    StepSpan scope(telemetry, kStepMetaLosses);
+  // the RNG serially in task order, then the per-task loss sums run
+  // environment-parallel, each in task order within the task.
+  const auto meta_loss = [&](const std::vector<linear::ParamVec>& theta_bar,
+                             std::vector<double>* meta_losses,
+                             std::vector<linear::ParamVec>* meta_grads) {
     std::vector<std::vector<size_t>> eval_envs(num_tasks);
     for (size_t m = 0; m < num_tasks; ++m) {
       if (options.sample_size == 0) {
@@ -93,46 +148,17 @@ Status MetaIrmOuterGradient(const linear::LossContext& ctx,
       }
     }
     ParallelFor(0, num_tasks, 1, [&](size_t m) {
-      meta_grads[m].assign(dim, 0.0);
+      (*meta_grads)[m].assign(dim, 0.0);
       linear::ParamVec env_grad;
       for (size_t other : eval_envs[m]) {
-        out->meta_losses[m] += linear::BceLossGrad(
+        (*meta_losses)[m] += linear::BceLossGrad(
             ctx, data.env_rows[other], theta_bar[m], &env_grad);
-        for (size_t j = 0; j < dim; ++j) meta_grads[m][j] += env_grad[j];
+        for (size_t j = 0; j < dim; ++j) (*meta_grads)[m][j] += env_grad[j];
       }
     });
-  }
-
-  // Backward (lines 10-11): d/dtheta [sum_m R_meta + lambda*sigma], with
-  // the inner-step Jacobian (I - alpha*H^m(theta)) applied exactly via
-  // Hessian-vector products. HVPs run task-parallel; the reduction into
-  // outer_grad stays serial in task order for bit-stable float sums.
-  {
-    StepSpan scope(telemetry, kStepBackward);
-    const std::vector<double> coeffs =
-        OuterCoefficients(out->meta_losses, options.lambda);
-    out->outer_grad.assign(dim, 0.0);
-    std::vector<linear::ParamVec> hvs;
-    if (options.second_order) {
-      hvs.resize(num_tasks);
-      ParallelFor(0, num_tasks, 1, [&](size_t m) {
-        linear::BceHvp(ctx, data.env_rows[m], probs[m], meta_grads[m],
-                       &hvs[m]);
-      });
-    }
-    for (size_t m = 0; m < num_tasks; ++m) {
-      if (options.second_order) {
-        for (size_t j = 0; j < dim; ++j) {
-          out->outer_grad[j] +=
-              coeffs[m] * (meta_grads[m][j] - options.inner_lr * hvs[m][j]);
-        }
-      } else {
-        for (size_t j = 0; j < dim; ++j) {
-          out->outer_grad[j] += coeffs[m] * meta_grads[m][j];
-        }
-      }
-    }
-  }
+  };
+  MamlOuterGradient(ctx, data, params, options.inner_lr, options.lambda,
+                    options.second_order, telemetry, meta_loss, out);
   return Status::OK();
 }
 
@@ -181,36 +207,19 @@ Result<TrainedPredictor> MetaIrmTrainer::Fit(const TrainData& data) {
         "sample_size must be in [0, M-1] = [0, %zu], got %d", num_tasks - 1,
         meta_.sample_size));
   }
-
-  Rng rng(options_.seed);
-  linear::LogisticModel model = linear::LogisticModel::RandomInit(
-      data.x->cols(), options_.init_scale, &rng);
-  LIGHTMIRM_ASSIGN_OR_RETURN(std::unique_ptr<linear::Optimizer> opt,
-                             linear::Optimizer::Create(options_.optimizer));
   const linear::LossContext ctx = data.Context();
   const StepTelemetry telemetry = StepTelemetry::From(options_);
-  const MetaTrajectoryRecorder trajectories(telemetry, data.env_ids);
-
   MetaStepOutput step;
-  BestModelTracker tracker(&options_);
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    {
-      StepSpan epoch_span(telemetry, kStepEpoch, "epoch");
-      LIGHTMIRM_RETURN_NOT_OK(MetaIrmOuterGradient(
-          ctx, data, model.params(), meta_, &rng, telemetry, &step));
-      StepSpan scope(telemetry, kStepBackward);
-      linear::AddL2(model.params(), options_.l2, &step.outer_grad);
-      opt->Step(step.outer_grad, &model.mutable_params());
-    }
-    trajectories.Record(step.meta_losses);
-    if (options_.epoch_callback) options_.epoch_callback(epoch, model);
-    if (!tracker.Observe(model)) break;
-  }
-  tracker.Finalize(&model);
-
-  TrainedPredictor predictor;
-  predictor.global = std::move(model);
-  return predictor;
+  return FitByEpochs(
+      options_, data, options_.l2, {"meta_loss", "sigma_penalty"},
+      [&](int, const linear::ParamVec& params, Rng* rng, EpochGradient* out) {
+        LIGHTMIRM_RETURN_NOT_OK(MetaIrmOuterGradient(ctx, data, params, meta_,
+                                                     rng, telemetry, &step));
+        out->grad.swap(step.outer_grad);
+        out->env_losses.swap(step.meta_losses);
+        out->penalty = PopulationStdDev(out->env_losses);
+        return Status::OK();
+      });
 }
 
 }  // namespace lightmirm::train

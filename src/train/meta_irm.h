@@ -53,6 +53,26 @@ struct MetaStepOutput {
   linear::ParamVec outer_grad;       ///< gradient of sum + lambda*sigma
 };
 
+/// A meta-loss phase of the MAML step: given each task's adapted
+/// parameters theta_bar[m], fills (*meta_losses)[m] (zero on entry) and
+/// (*meta_grads)[m], the gradient of task m's meta-loss at theta_bar[m].
+using MetaLossPhase = std::function<void(
+    const std::vector<linear::ParamVec>& theta_bar,
+    std::vector<double>* meta_losses,
+    std::vector<linear::ParamVec>* meta_grads)>;
+
+/// The MAML bi-level step meta-IRM and LightMIRM share, at `params`: one
+/// inner step per task, theta_bar_m = theta - inner_lr * grad R^m(theta)
+/// (environment-parallel), then `meta_loss` inside the meta-loss span, then
+/// the exact backward pass through the inner-step Jacobian
+/// (I - inner_lr * H^m(theta)): per-task HVPs run in parallel and are
+/// summed serially in task order. second_order = false drops the HVP.
+void MamlOuterGradient(const linear::LossContext& ctx, const TrainData& data,
+                       const linear::ParamVec& params, double inner_lr,
+                       double lambda, bool second_order,
+                       const StepTelemetry& telemetry,
+                       const MetaLossPhase& meta_loss, MetaStepOutput* out);
+
 /// Computes the exact outer gradient of Algorithm 1 at `params` (without
 /// the L2 term). With options.sample_size > 0 the sampled variant is used
 /// (consuming randomness from `rng`).

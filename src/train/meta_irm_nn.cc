@@ -1,6 +1,7 @@
 #include "train/meta_irm_nn.h"
 
 #include <cmath>
+#include <map>
 
 #include "common/string_util.h"
 
@@ -27,17 +28,15 @@ Result<NnEnvData> NnEnvData::Build(const Matrix& features,
   if (labels.size() != n || envs.size() != n) {
     return Status::InvalidArgument("labels/envs size mismatch");
   }
-  int max_env = -1;
-  for (int e : envs) {
-    if (e < 0) return Status::InvalidArgument("negative env id");
-    max_env = std::max(max_env, e);
-  }
-  std::vector<std::vector<size_t>> groups(static_cast<size_t>(max_env + 1));
+  // Grouped by the ids present, in ascending order, so a large id costs
+  // nothing.
+  std::map<int, std::vector<size_t>> groups;
   for (size_t i = 0; i < n; ++i) {
-    groups[static_cast<size_t>(envs[i])].push_back(i);
+    if (envs[i] < 0) return Status::InvalidArgument("negative env id");
+    groups[envs[i]].push_back(i);
   }
   NnEnvData data;
-  for (const std::vector<size_t>& rows : groups) {
+  for (const auto& [env, rows] : groups) {
     if (rows.size() < min_env_rows) continue;
     Tensor x(rows.size(), features.cols());
     Tensor y(rows.size(), 1);

@@ -2,40 +2,74 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iterator>
 #include <map>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "train/meta_irm.h"
 
 namespace lightmirm::train {
 
-MetaTrajectoryRecorder::MetaTrajectoryRecorder(const StepTelemetry& telemetry,
-                                               const std::vector<int>& env_ids,
-                                               const char* loss_name,
-                                               const char* penalty_name) {
-  if (telemetry.metrics == nullptr) return;
-  env_series_.reserve(env_ids.size());
-  for (int id : env_ids) {
-    env_series_.push_back(telemetry.metrics->GetSeries(
-        telemetry.prefix + loss_name + ".env_" + std::to_string(id)));
+namespace {
+
+// Appends each epoch's trajectory points to the telemetry registry. Inert
+// without a registry or series names; handles resolve once, so Record is
+// cheap enough to call every epoch.
+class TrajectoryRecorder {
+ public:
+  TrajectoryRecorder(const StepTelemetry& telemetry,
+                     const std::vector<int>& env_ids, TrajectoryNames names) {
+    if (telemetry.metrics == nullptr || names.loss == nullptr) return;
+    env_series_.reserve(env_ids.size());
+    for (int id : env_ids) {
+      env_series_.push_back(telemetry.metrics->GetSeries(
+          telemetry.prefix + names.loss + ".env_" + std::to_string(id)));
+    }
+    penalty_series_ =
+        telemetry.metrics->GetSeries(telemetry.prefix + names.penalty);
   }
-  penalty_series_ =
-      telemetry.metrics->GetSeries(telemetry.prefix + penalty_name);
-}
 
-void MetaTrajectoryRecorder::Record(
-    const std::vector<double>& env_losses) const {
-  Record(env_losses, PopulationStdDev(env_losses));
-}
+  void Record(const EpochGradient& step) const {
+    if (penalty_series_ == nullptr) return;
+    const size_t n = std::min(env_series_.size(), step.env_losses.size());
+    for (size_t t = 0; t < n; ++t) env_series_[t]->Append(step.env_losses[t]);
+    penalty_series_->Append(step.penalty);
+  }
 
-void MetaTrajectoryRecorder::Record(const std::vector<double>& env_losses,
-                                    double penalty) const {
-  if (penalty_series_ == nullptr) return;
-  const size_t n = std::min(env_series_.size(), env_losses.size());
-  for (size_t t = 0; t < n; ++t) env_series_[t]->Append(env_losses[t]);
-  penalty_series_->Append(penalty);
+ private:
+  std::vector<obs::Series*> env_series_;
+  obs::Series* penalty_series_ = nullptr;
+};
+
+}  // namespace
+
+Result<TrainedPredictor> FitByEpochs(const TrainerOptions& options,
+                                     const TrainData& data, double l2,
+                                     TrajectoryNames trajectories,
+                                     const EpochGradientFn& gradient) {
+  Rng rng(options.seed);
+  linear::LogisticModel model = linear::LogisticModel::RandomInit(
+      data.x->cols(), options.init_scale, &rng);
+  LIGHTMIRM_ASSIGN_OR_RETURN(linear::Adam adam,
+                             linear::Adam::Create(options.optimizer));
+  const StepTelemetry telemetry = StepTelemetry::From(options);
+  const TrajectoryRecorder recorder(telemetry, data.env_ids, trajectories);
+  BestModelTracker tracker(&options);
+  EpochGradient step;
+  for (int epoch = 0; epoch < options.epochs; ++epoch) {
+    {
+      StepSpan epoch_span(telemetry, kStepEpoch, "epoch");
+      LIGHTMIRM_RETURN_NOT_OK(gradient(epoch, model.params(), &rng, &step));
+      linear::AddL2(model.params(), l2, &step.grad);
+      adam.Step(step.grad, &model.mutable_params());
+    }
+    recorder.Record(step);
+    if (options.epoch_callback) options.epoch_callback(epoch, model);
+    tracker.Observe(model);
+  }
+  tracker.Finalize(&model);
+  TrainedPredictor predictor;
+  predictor.global = std::move(model);
+  return predictor;
 }
 
 Result<TrainData> TrainData::Create(const linear::FeatureMatrix* x,
@@ -75,9 +109,8 @@ Result<TrainData> TrainData::Create(const linear::FeatureMatrix* x,
   data.x = x;
   data.labels = labels;
   data.weights = weights;
-  // The pooled rows come first: the largest set starts indexing first.
+  data.all_rows = std::move(all_rows);
   std::vector<std::vector<size_t>> lists;
-  lists.push_back(std::move(all_rows));
   for (auto& [env, rows] : groups) {
     if (rows.size() >= min_env_rows) {
       lists.push_back(std::move(rows));
@@ -92,27 +125,17 @@ Result<TrainData> TrainData::Create(const linear::FeatureMatrix* x,
   ParallelFor(0, lists.size(), 1, [&](size_t s) {
     sets[s] = linear::RowSet(*x, std::move(lists[s]));
   });
-  data.all_rows = std::move(sets[0]);
-  data.env_rows.assign(std::make_move_iterator(sets.begin() + 1),
-                       std::make_move_iterator(sets.end()));
+  data.env_rows = std::move(sets);
   return data;
 }
 
-bool BestModelTracker::Observe(const linear::LogisticModel& model) {
-  if (!options_->validation_fn) return true;
+void BestModelTracker::Observe(const linear::LogisticModel& model) {
+  if (!options_->validation_fn) return;
   const double score = options_->validation_fn(model);
   if (score > best_score_) {
     best_score_ = score;
     best_params_ = model.params();
-    since_best_ = 0;
-  } else {
-    ++since_best_;
-    if (options_->early_stop_patience > 0 &&
-        since_best_ >= options_->early_stop_patience) {
-      return false;
-    }
   }
-  return true;
 }
 
 void BestModelTracker::Finalize(linear::LogisticModel* model) const {

@@ -19,8 +19,8 @@
 namespace lightmirm::train {
 
 /// Training inputs grouped by environment. Holds row sets over a shared
-/// design matrix so per-environment losses never copy features; each row
-/// set carries the column index the gradient kernels sum along.
+/// design matrix so per-environment losses never copy features; each task's
+/// row set carries the column index the gradient kernels sum along.
 struct TrainData {
   const linear::FeatureMatrix* x = nullptr;
   const std::vector<int>* labels = nullptr;
@@ -33,13 +33,15 @@ struct TrainData {
   /// folded into the pooled rows but not given their own task.
   std::vector<linear::RowSet> env_rows;
   std::vector<int> env_ids;
-  linear::RowSet all_rows;
+  /// Every training row, unindexed: only the pooled ERM fit reads them,
+  /// and it builds its own RowSet.
+  std::vector<size_t> all_rows;
 
   /// Number of tasks M.
   size_t NumTasks() const { return env_rows.size(); }
 
-  /// Builds the per-environment grouping and indexes every row set, the
-  /// sets in parallel. Errors if no environment reaches `min_env_rows` or
+  /// Builds the per-environment grouping and indexes every task's row set,
+  /// the sets in parallel. Errors if no environment reaches `min_env_rows` or
   /// inputs are inconsistent. If `include_rows` is non-null only those
   /// rows participate in training (the rest are e.g. a held-out validation
   /// set), in that order.
@@ -88,7 +90,7 @@ struct TrainerOptions {
   /// (hardware concurrency); 1 forces serial execution. Results are
   /// identical at any value — see DESIGN.md "Threading model".
   int threads = 0;
-  linear::OptimizerOptions optimizer = {"adam", 0.05, 0.9, 0.9, 0.999, 1e-8};
+  linear::OptimizerOptions optimizer;
   /// Optional per-step timing sink (Table III); not owned.
   StepTimer* timer = nullptr;
   /// Optional telemetry sink: per-step trace spans and per-environment
@@ -103,9 +105,6 @@ struct TrainerOptions {
   /// Optional validation scorer. When set, training returns the parameters
   /// of the best-scoring epoch instead of the last one.
   ValidationFn validation_fn;
-  /// With a validation_fn set, stop early after this many epochs without
-  /// improvement (0 = never stop early).
-  int early_stop_patience = 0;
 };
 
 /// Tracks the best-validation parameters across epochs. When no validation
@@ -116,8 +115,8 @@ class BestModelTracker {
       : options_(options) {}
 
   /// Scores `model` (if validation is configured) and snapshots it when it
-  /// improves. Returns false when early-stopping patience is exhausted.
-  bool Observe(const linear::LogisticModel& model);
+  /// improves.
+  void Observe(const linear::LogisticModel& model);
 
   /// Replaces `model` with the best snapshot (if any).
   void Finalize(linear::LogisticModel* model) const;
@@ -127,7 +126,6 @@ class BestModelTracker {
  private:
   const TrainerOptions* options_;
   double best_score_ = -1e300;
-  int since_best_ = 0;
   linear::ParamVec best_params_;
 };
 
@@ -181,29 +179,35 @@ class StepSpan {
   obs::TraceSpan span_;
 };
 
-/// Records per-epoch training trajectories into the telemetry registry:
-/// one series per environment (`<prefix><loss_name>.env_<id>`) plus a
-/// penalty series (`<prefix><penalty_name>`). Inert when the telemetry has
-/// no registry. Series handles resolve once at construction, so Record is
-/// cheap enough to call every epoch.
-class MetaTrajectoryRecorder {
- public:
-  MetaTrajectoryRecorder(const StepTelemetry& telemetry,
-                         const std::vector<int>& env_ids,
-                         const char* loss_name = "meta_loss",
-                         const char* penalty_name = "sigma_penalty");
-
-  /// Appends one point per environment plus the population standard
-  /// deviation of `env_losses` (the sigma term of Eq. 6/7).
-  void Record(const std::vector<double>& env_losses) const;
-  /// Same, with an explicit penalty value (V-REx variance, IRMv1 gradient
-  /// penalty, Group DRO worst-group risk, ...).
-  void Record(const std::vector<double>& env_losses, double penalty) const;
-
- private:
-  std::vector<obs::Series*> env_series_;
-  obs::Series* penalty_series_ = nullptr;
+/// One epoch of a trainer's objective at the current parameters.
+struct EpochGradient {
+  linear::ParamVec grad;           ///< without the L2 term
+  std::vector<double> env_losses;  ///< per task, for the trajectory series
+  double penalty = 0.0;            ///< for the penalty series
 };
+
+/// A trainer's per-epoch gradient. It records its own Table III steps;
+/// `rng` is the run's stream, already past the initial model's draws.
+using EpochGradientFn = std::function<Status(
+    int epoch, const linear::ParamVec& params, Rng* rng, EpochGradient* out)>;
+
+/// Names of the per-epoch trajectory series a trainer records: one per
+/// task (`<prefix><loss>.env_<id>`) and one penalty (`<prefix><penalty>`).
+/// A null `loss` records none.
+struct TrajectoryNames {
+  const char* loss = nullptr;
+  const char* penalty = nullptr;
+};
+
+/// The outer loop every full-batch trainer runs: seeds the Rng and draws
+/// the initial model, then per epoch runs `gradient` inside the epoch span,
+/// adds `l2` * theta (bias excluded) and takes one Adam step; afterwards it
+/// records the trajectories, fires the epoch callback and keeps the best
+/// validation epoch.
+Result<TrainedPredictor> FitByEpochs(const TrainerOptions& options,
+                                     const TrainData& data, double l2,
+                                     TrajectoryNames trajectories,
+                                     const EpochGradientFn& gradient);
 
 /// Abstract learning algorithm.
 class Trainer {

@@ -45,10 +45,7 @@ Result<TrainedPredictor> UpSamplingTrainer::Fit(const TrainData& data) {
       weights[i] *= (*data.weights)[i];
     }
   }
-  TrainData weighted = data;
-  weighted.weights = &weights;
-  ErmTrainer erm(options_);
-  return erm.Fit(weighted);
+  return ErmTrainer(options_).FitWeighted(data, &weights);
 }
 
 }  // namespace lightmirm::train

@@ -3,55 +3,37 @@
 namespace lightmirm::train {
 
 Result<TrainedPredictor> VRexTrainer::Fit(const TrainData& data) {
-  Rng rng(options_.seed);
-  linear::LogisticModel model = linear::LogisticModel::RandomInit(
-      data.x->cols(), options_.init_scale, &rng);
-  LIGHTMIRM_ASSIGN_OR_RETURN(std::unique_ptr<linear::Optimizer> opt,
-                             linear::Optimizer::Create(options_.optimizer));
   const linear::LossContext ctx = data.Context();
   const size_t num_tasks = data.NumTasks();
   const double inv_m = 1.0 / static_cast<double>(num_tasks);
   const StepTelemetry telemetry = StepTelemetry::From(options_);
-  const MetaTrajectoryRecorder trajectories(telemetry, data.env_ids, "risk",
-                                            "variance_penalty");
-
-  linear::ParamVec grad;
-  std::vector<double> risks(num_tasks);
   std::vector<linear::ParamVec> grads(num_tasks);
-  BestModelTracker tracker(&options_);
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    double penalty = 0.0;
-    {
-      StepSpan epoch_span(telemetry, kStepEpoch, "epoch");
-      StepSpan scope(telemetry, kStepBackward);
-      double mean_risk = 0.0;
-      for (size_t t = 0; t < num_tasks; ++t) {
-        risks[t] = linear::BceLossGrad(ctx, data.env_rows[t],
-                                       model.params(), &grads[t]);
-        mean_risk += risks[t] * inv_m;
-      }
-      // d/dtheta [mean + beta * var] =
-      //   sum_t [1/M + 2*beta*(R_t - mean)/M] * grad_t.
-      grad.assign(model.params().size(), 0.0);
-      for (size_t t = 0; t < num_tasks; ++t) {
-        const double dev = risks[t] - mean_risk;
-        penalty += vrex_.beta * inv_m * dev * dev;
-        const double coeff = inv_m * (1.0 + 2.0 * vrex_.beta * dev);
-        for (size_t j = 0; j < grad.size(); ++j) {
-          grad[j] += coeff * grads[t][j];
+  return FitByEpochs(
+      options_, data, options_.l2, {"risk", "variance_penalty"},
+      [&](int, const linear::ParamVec& params, Rng*, EpochGradient* out) {
+        StepSpan scope(telemetry, kStepBackward);
+        std::vector<double>& risks = out->env_losses;
+        risks.resize(num_tasks);
+        double mean_risk = 0.0;
+        for (size_t t = 0; t < num_tasks; ++t) {
+          risks[t] =
+              linear::BceLossGrad(ctx, data.env_rows[t], params, &grads[t]);
+          mean_risk += risks[t] * inv_m;
         }
-      }
-      linear::AddL2(model.params(), options_.l2, &grad);
-      opt->Step(grad, &model.mutable_params());
-    }
-    trajectories.Record(risks, penalty);
-    if (options_.epoch_callback) options_.epoch_callback(epoch, model);
-    if (!tracker.Observe(model)) break;
-  }
-  tracker.Finalize(&model);
-  TrainedPredictor predictor;
-  predictor.global = std::move(model);
-  return predictor;
+        // d/dtheta [mean + beta * var] =
+        //   sum_t [1/M + 2*beta*(R_t - mean)/M] * grad_t.
+        out->grad.assign(params.size(), 0.0);
+        out->penalty = 0.0;
+        for (size_t t = 0; t < num_tasks; ++t) {
+          const double dev = risks[t] - mean_risk;
+          out->penalty += vrex_.beta * inv_m * dev * dev;
+          const double coeff = inv_m * (1.0 + 2.0 * vrex_.beta * dev);
+          for (size_t j = 0; j < out->grad.size(); ++j) {
+            out->grad[j] += coeff * grads[t][j];
+          }
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace lightmirm::train

@@ -9,67 +9,37 @@ namespace {
 
 TEST(OptimizerTest, FactoryRejectsBadConfig) {
   OptimizerOptions options;
-  options.kind = "mystery";
-  EXPECT_FALSE(Optimizer::Create(options).ok());
-  options.kind = "sgd";
   options.learning_rate = 0.0;
-  EXPECT_FALSE(Optimizer::Create(options).ok());
-}
-
-TEST(OptimizerTest, SgdStepIsExact) {
-  OptimizerOptions options;
-  options.kind = "sgd";
-  options.learning_rate = 0.5;
-  auto opt = std::move(Optimizer::Create(options)).value();
-  ParamVec params = {1.0, 2.0};
-  opt->Step({0.2, -0.4}, &params);
-  EXPECT_DOUBLE_EQ(params[0], 0.9);
-  EXPECT_DOUBLE_EQ(params[1], 2.2);
-}
-
-TEST(OptimizerTest, MomentumAccumulatesVelocity) {
-  OptimizerOptions options;
-  options.kind = "momentum";
-  options.learning_rate = 1.0;
-  options.momentum = 0.5;
-  auto opt = std::move(Optimizer::Create(options)).value();
-  ParamVec params = {0.0};
-  opt->Step({1.0}, &params);  // v = 1; p = -1
-  EXPECT_DOUBLE_EQ(params[0], -1.0);
-  opt->Step({1.0}, &params);  // v = 1.5; p = -2.5
-  EXPECT_DOUBLE_EQ(params[0], -2.5);
-  opt->Reset();
-  opt->Step({1.0}, &params);  // velocity cleared
-  EXPECT_DOUBLE_EQ(params[0], -3.5);
+  EXPECT_FALSE(Adam::Create(options).ok());
+  options.learning_rate = -0.1;
+  EXPECT_FALSE(Adam::Create(options).ok());
 }
 
 TEST(OptimizerTest, AdamFirstStepIsLearningRateSized) {
   OptimizerOptions options;
-  options.kind = "adam";
   options.learning_rate = 0.1;
-  auto opt = std::move(Optimizer::Create(options)).value();
+  Adam adam = std::move(Adam::Create(options)).value();
   ParamVec params = {0.0};
-  opt->Step({42.0}, &params);
+  adam.Step({42.0}, &params);
   // Bias-corrected first Adam step ~= lr * sign(grad).
   EXPECT_NEAR(params[0], -0.1, 1e-6);
 }
 
-// Each optimizer must minimize a convex quadratic.
+// The optimizer must minimize a convex quadratic.
 class OptimizerConvergenceTest
     : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(OptimizerConvergenceTest, MinimizesQuadratic) {
   OptimizerOptions options;
-  options.kind = GetParam();
-  options.learning_rate = options.kind == "adam" ? 0.1 : 0.05;
-  auto opt = std::move(Optimizer::Create(options)).value();
+  options.learning_rate = 0.1;
+  Adam adam = std::move(Adam::Create(options)).value();
   // f(p) = 0.5 * sum((p - target)^2)
   const ParamVec target = {3.0, -2.0, 0.5};
   ParamVec params = {0.0, 0.0, 0.0};
   for (int step = 0; step < 2000; ++step) {
     ParamVec grad(3);
     for (size_t j = 0; j < 3; ++j) grad[j] = params[j] - target[j];
-    opt->Step(grad, &params);
+    adam.Step(grad, &params);
   }
   for (size_t j = 0; j < 3; ++j) {
     EXPECT_NEAR(params[j], target[j], 1e-2) << GetParam();
@@ -77,7 +47,7 @@ TEST_P(OptimizerConvergenceTest, MinimizesQuadratic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, OptimizerConvergenceTest,
-                         ::testing::Values("sgd", "momentum", "adam"));
+                         ::testing::Values("adam"));
 
 }  // namespace
 }  // namespace lightmirm::linear

@@ -231,7 +231,8 @@ TEST(RowSetTest, TrainDataKernelsMatchScatterAtAnyIndexThreadCount) {
       const train::TrainData data = *train::TrainData::Create(
           &x, &labels, &envs, 10, w, &include);
       const LossContext ctx = data.Context();
-      std::vector<const RowSet*> sets = {&data.all_rows};
+      const RowSet pooled(x, data.all_rows);
+      std::vector<const RowSet*> sets = {&pooled};
       for (const RowSet& set : data.env_rows) sets.push_back(&set);
       for (const RowSet* set : sets) {
         const std::string what = std::to_string(threads) + " threads" +

@@ -201,6 +201,25 @@ TEST(MonitorCheckpointTest, RejectsUnknownVersionAndTruncation) {
   }
 }
 
+// A checkpoint's score reference names the env ids the monitor indexes
+// densely; a hostile id must come back as a Status naming it.
+TEST(MonitorCheckpointTest, RejectsHostileReferenceEnvIds) {
+  auto monitor = ModelHealthMonitor::Create(CheckpointReference());
+  ASSERT_TRUE(monitor.ok());
+  const std::string text = Serialize(**monitor);
+  const size_t at = text.find("\nenv 1 ");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* id : {"100000000", "2147483647"}) {
+    std::string edited = text;
+    edited.replace(at, 7, std::string("\nenv ") + id + " ");
+    std::istringstream in(edited);
+    auto loaded = ModelHealthMonitor::LoadCheckpoint(&in);
+    ASSERT_FALSE(loaded.ok()) << id;
+    EXPECT_NE(loaded.status().message().find(id), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(MonitorCheckpointTest, FileHelpersRoundTrip) {
   auto monitor = ModelHealthMonitor::Create(CheckpointReference());
   ASSERT_TRUE(monitor.ok());

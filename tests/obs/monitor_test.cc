@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -86,6 +88,28 @@ void FeedReferencePopulation(ModelHealthMonitor* monitor) {
 
 TEST(ModelHealthMonitorTest, RejectsEmptyReference) {
   EXPECT_FALSE(ModelHealthMonitor::Create(ScoreReference{}).ok());
+}
+
+// The env-window table is indexed by env id, so a reference id sizes it:
+// ids outside [0, kEnvIdLimit) are refused, not allocated for.
+TEST(ModelHealthMonitorTest, RejectsEnvIdsOutsideTheMonitoredRange) {
+  for (int id : {-1, ModelHealthMonitor::kEnvIdLimit, 100000000, INT_MAX}) {
+    ScoreReference reference = TestReference();
+    auto node = reference.per_env.extract(1);
+    node.key() = id;
+    reference.per_env.insert(std::move(node));
+    auto monitor = ModelHealthMonitor::Create(std::move(reference));
+    ASSERT_FALSE(monitor.ok()) << id;
+    EXPECT_EQ(monitor.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(monitor.status().message().find(std::to_string(id)),
+              std::string::npos)
+        << monitor.status().ToString();
+  }
+  ScoreReference edge = TestReference();
+  auto node = edge.per_env.extract(1);
+  node.key() = ModelHealthMonitor::kEnvIdLimit - 1;
+  edge.per_env.insert(std::move(node));
+  EXPECT_TRUE(ModelHealthMonitor::Create(std::move(edge)).ok());
 }
 
 TEST(ModelHealthMonitorTest, StationaryPopulationStaysOk) {

@@ -84,6 +84,27 @@ TEST(UpSamplingTest, EquivalentWeightsHelpSmallEnvironment) {
   (void)big;
 }
 
+// Up-sampling is the pooled ERM fit under its weights: with env 1 at a
+// ninth of env 0's size and target_fraction 1, every env-1 row weighs 9.
+TEST(UpSamplingTest, EqualsPooledErmGivenTheSameWeights) {
+  const auto p = MakeIrmProblem({0.8, 0.3}, 100, 12);
+  std::vector<int> envs(p.envs.size());
+  std::vector<double> weights(p.envs.size());
+  for (size_t i = 0; i < envs.size(); ++i) {
+    envs[i] = i % 10 == 0 ? 1 : 0;
+    weights[i] = envs[i] == 1 ? 9.0 : 1.0;
+  }
+  const TrainData plain =
+      std::move(TrainData::Create(&p.x, &p.labels, &envs, 10)).value();
+  const TrainData weighted = std::move(
+      TrainData::Create(&p.x, &p.labels, &envs, 10, &weights)).value();
+  const TrainedPredictor up =
+      *UpSamplingTrainer(FastOptions(), UpSamplingTrainerOptions{1.0, 0.0})
+           .Fit(plain);
+  const TrainedPredictor erm = *ErmTrainer(FastOptions()).Fit(weighted);
+  EXPECT_EQ(up.global.params(), erm.global.params());
+}
+
 TEST(UpSamplingTest, RejectsBadFraction) {
   const auto p = MakeEasyProblem(2, 50, 5);
   UpSamplingTrainer trainer(FastOptions(), UpSamplingTrainerOptions{0.0, 0});

@@ -26,7 +26,7 @@ TEST(EnvInferenceTest, RecoversLatentEnvironmentStructure) {
   ASSERT_GT(erm.global.params()[1], 0.1);  // reference leans on spurious
 
   const InferredEnvs inferred =
-      std::move(InferEnvironments(data.Context(), data.all_rows.rows(),
+      std::move(InferEnvironments(data.Context(), data.all_rows,
                                   erm.global.params(), {}))
           .value();
   ASSERT_EQ(inferred.hard_assignment.size(), data.all_rows.size());
@@ -52,7 +52,7 @@ TEST(EnvInferenceTest, SoftAssignmentsAreProbabilities) {
   options.epochs = 60;
   const TrainedPredictor erm = *ErmTrainer(options).Fit(data);
   const InferredEnvs inferred =
-      std::move(InferEnvironments(data.Context(), data.all_rows.rows(),
+      std::move(InferEnvironments(data.Context(), data.all_rows,
                                   erm.global.params(), {}))
           .value();
   for (double q : inferred.soft_assignment) {
@@ -70,11 +70,11 @@ TEST(EnvInferenceTest, DeterministicGivenSeed) {
   EnvInferenceOptions inference;
   inference.seed = 77;
   const InferredEnvs a =
-      std::move(InferEnvironments(data.Context(), data.all_rows.rows(),
+      std::move(InferEnvironments(data.Context(), data.all_rows,
                                   erm.global.params(), inference))
           .value();
   const InferredEnvs b =
-      std::move(InferEnvironments(data.Context(), data.all_rows.rows(),
+      std::move(InferEnvironments(data.Context(), data.all_rows,
                                   erm.global.params(), inference))
           .value();
   for (size_t k = 0; k < a.soft_assignment.size(); k += 11) {
@@ -90,7 +90,7 @@ TEST(EnvInferenceTest, RejectsBadInputs) {
   EnvInferenceOptions bad;
   bad.steps = 0;
   EXPECT_FALSE(
-      InferEnvironments(data.Context(), data.all_rows.rows(), params, bad)
+      InferEnvironments(data.Context(), data.all_rows, params, bad)
           .ok());
 }
 

@@ -96,20 +96,5 @@ TEST(ErmTrainerTest, ValidationSnapshotBeatsOrMatchesFinal) {
   EXPECT_GE(snap_auc + 1e-9, last_auc);
 }
 
-TEST(ErmTrainerTest, EarlyStoppingCutsEpochs) {
-  const auto p = MakeEasyProblem(2, 100, 8);
-  TrainerOptions options = FastOptions();
-  options.epochs = 500;
-  options.early_stop_patience = 3;
-  int epochs_run = 0;
-  options.epoch_callback = [&](int, const linear::LogisticModel&) {
-    ++epochs_run;
-  };
-  options.validation_fn = [](const linear::LogisticModel&) { return 0.0; };
-  const TrainData data = p.Data();
-  (void)*ErmTrainer(options).Fit(data);
-  EXPECT_LT(epochs_run, 10);
-}
-
 }  // namespace
 }  // namespace lightmirm::train

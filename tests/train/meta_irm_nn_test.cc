@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+
 #include "metrics/roc.h"
 #include "test_util.h"
 
@@ -40,6 +42,24 @@ TEST(NnEnvDataTest, BuildsPerEnvTensors) {
   EXPECT_EQ(data.env_x[0].rows(), 60u);
   EXPECT_EQ(data.env_x[0].cols(), 2u);
   EXPECT_EQ(data.env_y[1].rows(), 60u);
+}
+
+// Environments are grouped by the ids present, ascending: an id of INT_MAX
+// costs no more than an id of 1.
+TEST(NnEnvDataTest, LargeEnvIdsGroupByTheIdsPresent) {
+  Matrix features(4, 1, {0.5, -1.0, 2.0, 0.0});
+  const std::vector<int> labels = {0, 1, 1, 0};
+  const std::vector<int> envs = {INT_MAX, 0, INT_MAX, 100000000};
+  const auto data = NnEnvData::Build(features, labels, envs, 1);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  ASSERT_EQ(data->env_x.size(), 3u);
+  EXPECT_EQ(data->env_x[0].rows(), 1u);
+  EXPECT_EQ(data->env_x[0].At(0, 0), -1.0);
+  EXPECT_EQ(data->env_x[1].At(0, 0), 0.0);
+  ASSERT_EQ(data->env_x[2].rows(), 2u);
+  EXPECT_EQ(data->env_x[2].At(0, 0), 0.5);
+  EXPECT_EQ(data->env_x[2].At(1, 0), 2.0);
+  EXPECT_EQ(data->env_y[2].At(1, 0), 1.0);
 }
 
 TEST(NnEnvDataTest, RejectsBadInputs) {

@@ -104,30 +104,14 @@ TEST(BestModelTrackerTest, KeepsBestSnapshot) {
   BestModelTracker tracker(&options);
   linear::LogisticModel model(1);
   model.set_params({1.0, 0.0});
-  EXPECT_TRUE(tracker.Observe(model));
+  tracker.Observe(model);
   model.set_params({2.0, 0.0});
-  EXPECT_TRUE(tracker.Observe(model));  // best (0.9)
+  tracker.Observe(model);  // best (0.9)
   model.set_params({3.0, 0.0});
-  EXPECT_TRUE(tracker.Observe(model));
+  tracker.Observe(model);
   tracker.Finalize(&model);
   EXPECT_DOUBLE_EQ(model.params()[0], 2.0);
   EXPECT_DOUBLE_EQ(tracker.best_score(), 0.9);
-}
-
-TEST(BestModelTrackerTest, EarlyStopAfterPatience) {
-  TrainerOptions options;
-  options.early_stop_patience = 2;
-  options.validation_fn = [](const linear::LogisticModel& m) {
-    return -m.params()[0];  // decreasing scores
-  };
-  BestModelTracker tracker(&options);
-  linear::LogisticModel model(1);
-  model.set_params({1.0, 0.0});
-  EXPECT_TRUE(tracker.Observe(model));
-  model.set_params({2.0, 0.0});
-  EXPECT_TRUE(tracker.Observe(model));  // 1 since best
-  model.set_params({3.0, 0.0});
-  EXPECT_FALSE(tracker.Observe(model));  // patience exhausted
 }
 
 TEST(BestModelTrackerTest, NoValidationIsPassThrough) {
@@ -135,7 +119,7 @@ TEST(BestModelTrackerTest, NoValidationIsPassThrough) {
   BestModelTracker tracker(&options);
   linear::LogisticModel model(1);
   model.set_params({5.0, 1.0});
-  EXPECT_TRUE(tracker.Observe(model));
+  tracker.Observe(model);
   linear::LogisticModel other(1);
   other.set_params({7.0, 2.0});
   tracker.Finalize(&other);  // must not overwrite
